@@ -27,7 +27,7 @@ from .quantum import (DensityOperator, Isometry, QuantumChannel,
                       ValidationError, basis_state, channel_from_choi,
                       classical_state, product_state, pure_state,
                       random_channel, random_pure, trace_norm)
-from .sdp import SdpProblem, SdpStatus, SdpTolerances, solve
+from .sdp import SdpError, SdpProblem, SdpStatus, SdpTolerances, solve
 
 __all__ = [
     "CqqWiretapChannel",
@@ -172,7 +172,7 @@ def check_degraded(channel: CqqWiretapChannel,
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return None
     if sol.status is not SdpStatus.OPTIMAL:
-        raise ValidationError(
+        raise SdpError(
             f"degrading-map search did not settle: {sol.status.value} "
             f"({sol.message})")
 

@@ -391,8 +391,7 @@ class FiniteBlocklengthBound:
 def finite_n_terms(channel: CqqWiretapChannel, structure: DegradedStructure,
                    n: int, eps: float, delta: float,
                    constant_type: bool = False,
-                   capacity: float | None = None,
-                   tolerances: SdpTolerances | None = None
+                   capacity: float | None = None
                    ) -> FiniteBlocklengthBound:
     """Assemble the explicit finite-blocklength converse bound, term by term.
 
@@ -460,8 +459,7 @@ def finite_n_terms(channel: CqqWiretapChannel, structure: DegradedStructure,
 def finite_n_converse(channel: CqqWiretapChannel,
                       structure: DegradedStructure, n: int, eps: float,
                       delta: float, constant_type: bool = False,
-                      capacity: float | None = None,
-                      tolerances: SdpTolerances | None = None) -> float:
+                      capacity: float | None = None) -> float:
     """Explicit upper bound on log2 M for any length-``n`` code with error
     at most ``eps`` and leakage at most ``delta``; see
     :func:`finite_n_terms` for the term-by-term breakdown.
@@ -469,5 +467,4 @@ def finite_n_converse(channel: CqqWiretapChannel,
     Raises :class:`OutsideConverseRegion` when ``eps + 2 delta >= 1``.
     """
     return finite_n_terms(channel, structure, n, eps, delta,
-                          constant_type=constant_type, capacity=capacity,
-                          tolerances=tolerances).total
+                          constant_type=constant_type, capacity=capacity).total

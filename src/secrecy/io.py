@@ -55,6 +55,15 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
+def _finite_number(v) -> bool:
+    """A JSON number that is finite as a float (JSON booleans are ints to
+    isinstance, and NaN/Infinity parse as floats)."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f"{where}: expected a nonempty list of rows")
@@ -71,9 +80,9 @@ def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
         line = []
         for j, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, (int, float)) for v in cell)):
-                raise ValidationError(
-                    f"{where}: entry ({i},{j}) is not an [re, im] pair")
+                    or not all(_finite_number(v) for v in cell)):
+                raise ValidationError(f"{where}: entry ({i},{j}) is not an "
+                                      f"[re, im] pair of finite numbers")
             line.append(complex(cell[0], cell[1]))
         out.append(line)
     return np.array(out, dtype=complex)

@@ -88,10 +88,6 @@ class InequalityReport:
         return ";".join(parts)
 
 
-def _smooth_pair(state, a, b, eps, tol):
-    return h_min_smooth(EntropyQuery(state, a, b, eps), tol)
-
-
 def _hmin(state, a, b, eps, tol):
     return h_min_smooth(EntropyQuery(state, tuple(a), tuple(b), eps), tol)
 

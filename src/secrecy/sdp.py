@@ -18,19 +18,23 @@ reported through Farkas-type certificates extracted from the homogeneous
 iterate.  Everything is dense and deterministic: fixed starting point, fixed
 iteration schedule, no randomization.
 
-An LMI layer (`LmiBuilder`) converts problems of the form
+Every constraint is stored as (row, block, r, c, value) triplets.  Rows
+arrive one at a time through `SdpProblem.add_constraint`, or all at once from
+the LMI layer (`LmiBuilder`), which phrases problems as
 
     minimize c^T y  subject to  F_0 + sum_k y_k F_k >= 0  (blockwise)
 
-into the standard form above (A_k = -F_k, b_k = -c_k), which is how the
-smooth-entropy, fidelity and decoder programs elsewhere in this package are
-phrased.
+(the form of the smooth-entropy, fidelity and decoder programs elsewhere in
+this package).  The builder records each placement as triplets tagged by
+parameter; `build` maps them onto the standard form above (A_k = -F_k,
+b_k = -c_k, C = F_0) and validates all rows in one vectorised pass.
+`compile` embeds the triplets into the real constraint matrix in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -60,13 +64,6 @@ class SdpTolerances:
     cert: float = 1e-9         # quality required of an infeasibility certificate
 
 
-def _herm_violation(m) -> float:
-    if sp.issparse(m):
-        d = m - m.conj().T
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 class SdpProblem:
     """Primal-standard-form SDP with complex Hermitian blocks.
 
@@ -83,84 +80,100 @@ class SdpProblem:
             raise SdpError("block dimensions must be positive")
         if c_blocks is None:
             c_blocks = [np.zeros((d, d), dtype=complex) for d in self.block_dims]
-        self.c_blocks = [np.asarray(c.toarray() if sp.issparse(c) else c,
-                                    dtype=complex) for c in c_blocks]
+        self.c_blocks = [np.array(c.toarray() if sp.issparse(c) else c,
+                                  dtype=complex) for c in c_blocks]
         if len(self.c_blocks) != len(self.block_dims):
             raise SdpError("one objective block per variable block required")
         for d, c in zip(self.block_dims, self.c_blocks):
             if c.shape != (d, d):
                 raise SdpError("objective block shape mismatch")
-            if _herm_violation(c) > 1e-8:
+            if np.max(np.abs(c - c.conj().T)) > 1e-8:
                 raise SdpError("objective block is not Hermitian")
-        self._rows: list[tuple[dict[int, object], float]] = []
+        # (row, block, r, c, value) arrays, one tuple per batch of rows
+        self._triplets: list[tuple[np.ndarray, ...]] = []
+        self._rhs: list[float] = []
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows)
+        return len(self._rhs)
 
     def add_constraint(self, blocks: dict[int, object], rhs: float) -> None:
         """Add  sum_j <blocks[j], X_j> = rhs  (matrices dense or sparse)."""
         if not blocks:
             raise SdpError("constraint touches no block")
-        clean: dict[int, object] = {}
+        parts = []
         for j, mat in blocks.items():
             j = int(j)
             if j < 0 or j >= len(self.block_dims):
                 raise SdpError(f"constraint references unknown block {j}")
-            d = self.block_dims[j]
-            if not sp.issparse(mat):
+            if sp.issparse(mat):
+                mat = mat.tocoo()
+                r, c, v = mat.row, mat.col, mat.data
+            else:
                 mat = np.asarray(mat, dtype=complex)
-            if mat.shape != (d, d):
+                r, c = np.nonzero(mat)
+                v = mat[r, c]
+            if mat.shape != (self.block_dims[j],) * 2:
                 raise SdpError("constraint block shape mismatch")
-            if _herm_violation(mat) > 1e-8:
-                raise SdpError("constraint block is not Hermitian")
-            clean[j] = mat
-        norm = max((float(abs(m).max()) if not sp.issparse(m)
-                    else (float(np.max(np.abs(m.data))) if m.nnz else 0.0))
-                   for m in clean.values())
-        if norm == 0.0:
+            parts.append((np.full(len(v), j), r, c, v))
+        blk, r, c, v = (np.concatenate(a) for a in zip(*parts))
+        self._add_rows(np.zeros(len(v), dtype=int), blk, r, c, v, [rhs])
+
+    def _add_rows(self, row, blk, r, c, val, rhs) -> None:
+        """Validate rows of triplets and store them.
+
+        `row` counts from 0 within the batch and `rhs` holds one entry per
+        row.  Repeated (row, block, r, c) entries are summed in the order
+        given; every row must be Hermitian in each block and not all zero.
+        """
+        nb = len(self.block_dims)
+        bad = (blk < 0) | (blk >= nb)
+        if bad.any():
+            raise SdpError(f"constraint references unknown block {blk[bad][0]}")
+        d = np.asarray(self.block_dims)[blk]
+        if ((r < 0) | (r >= d) | (c < 0) | (c >= d)).any():
+            raise SdpError("constraint block shape mismatch")
+        n = max(self.block_dims, default=1)
+        key, inv = np.unique(((row * nb + blk) * n + r) * n + c,
+                             return_inverse=True)
+        val_sum = np.zeros(len(key), dtype=complex)
+        np.add.at(val_sum, inv, val)
+        row, blk = key // (nb * n * n), key // (n * n) % nb
+        r, c = key // n % n, key % n
+        # each entry against the conjugate of its mirror (r, c) -> (c, r)
+        mirror_key = key + (c - r) * (n - 1)
+        pos = np.minimum(np.searchsorted(key, mirror_key), len(key) - 1)
+        mirror = np.where(key[pos] == mirror_key, val_sum[pos], 0.0)
+        if (np.abs(val_sum - mirror.conj()) > 1e-8).any():
+            raise SdpError("constraint block is not Hermitian")
+        live = val_sum != 0
+        rhs = np.asarray(rhs, dtype=complex)
+        if (np.bincount(row[live], minlength=len(rhs)) == 0).any():
             raise SdpError("constraint matrix is identically zero")
-        rhs = complex(rhs)
-        if abs(rhs.imag) > 1e-10:
+        if (np.abs(rhs.imag) > 1e-10).any():
             raise SdpError("right-hand side must be real")
-        self._rows.append((clean, float(rhs.real)))
+        self._triplets.append((row[live] + len(self._rhs), blk[live], r[live],
+                               c[live], val_sum[live]))
+        self._rhs.extend(rhs.real.tolist())
 
     # -- real symmetric embedding ------------------------------------------
     def compile(self) -> "_RealConic":
-        if not self._rows:
+        if not self._rhs:
             raise SdpError("problem has no constraints")
         dims = [2 * d for d in self.block_dims]
         offs = np.concatenate([[0], np.cumsum([d * d for d in dims])])
-        total = int(offs[-1])
-        m = len(self._rows)
-
-        c_vec = np.zeros(total)
-        for j, cb in enumerate(self.c_blocks):
-            c_vec[offs[j]:offs[j + 1]] = _embed(cb).reshape(-1)
-
-        rows_acc: list[np.ndarray] = []
-        cols_acc: list[np.ndarray] = []
-        vals_acc: list[np.ndarray] = []
-        b = np.zeros(m)
-        for i, (blocks, rhs) in enumerate(self._rows):
-            b[i] = 2.0 * rhs
-            for j, mat in blocks.items():
-                coo = sp.coo_matrix(mat) if not sp.issparse(mat) else mat.tocoo()
-                d = self.block_dims[j]
-                r, cc, v = coo.row, coo.col, coo.data
-                # [[Re, -Im], [Im, Re]] written into the flat vector
-                er = np.concatenate([r, r + d, r, r + d])
-                ec = np.concatenate([cc, cc + d, cc + d, cc])
-                ev = np.concatenate([v.real, v.real, -v.imag, v.imag])
-                keep = ev != 0.0
-                rows_acc.append(np.full(keep.sum(), i))
-                cols_acc.append(offs[j] + er[keep] * (2 * d) + ec[keep])
-                vals_acc.append(ev[keep])
-        arows = np.concatenate(rows_acc) if rows_acc else np.zeros(0, int)
-        acols = np.concatenate(cols_acc) if cols_acc else np.zeros(0, int)
-        avals = np.concatenate(vals_acc) if vals_acc else np.zeros(0)
-        a = sp.coo_matrix((avals, (arows, acols)), shape=(m, total)).tocsr()
-        return _RealConic(dims, list(offs), c_vec, a, b)
+        c_vec = np.concatenate([_embed(cb).reshape(-1) for cb in self.c_blocks])
+        row, blk, r, c, v = (np.concatenate(a) for a in zip(*self._triplets))
+        d = np.asarray(self.block_dims)[blk]
+        # [[Re, -Im], [Im, Re]] written into the flat vector
+        er = np.concatenate([r, r + d, r, r + d])
+        ec = np.concatenate([c, c + d, c + d, c])
+        ev = np.concatenate([v.real, v.real, -v.imag, v.imag])
+        cols = np.tile(offs[blk], 4) + er * np.tile(2 * d, 4) + ec
+        keep = ev != 0.0
+        a = sp.coo_matrix((ev[keep], (np.tile(row, 4)[keep], cols[keep])),
+                          shape=(len(self._rhs), int(offs[-1]))).tocsr()
+        return _RealConic(dims, list(offs), c_vec, a, 2.0 * np.array(self._rhs))
 
 
 def _embed(mat: np.ndarray) -> np.ndarray:
@@ -201,30 +214,57 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 
 class _RealConic:
-    """Compiled real symmetric problem plus per-block sparse views."""
+    """Compiled real symmetric problem; `scale` adds the per-block views."""
 
     def __init__(self, dims, offs, c_vec, a, b):
         self.dims = dims
         self.offs = offs
-        self.total = int(offs[-1])
         self.c_vec = c_vec
         self.A = a
         self.b = b
         self.m = len(b)
+
+    def scale(self) -> tuple[np.ndarray, float, float]:
+        """Pre-scale in place and build the Schur-assembly views.
+
+        Rows of A and b are divided by the row norms of A, then b and c by
+        their norms (when above 1); returns (row norms, b scale, c scale).
+        """
+        a = self.A
+        lens = np.diff(a.indptr)
+        # one dot product per row, as np.linalg.norm takes it, batched by
+        # row length
+        sq = np.zeros(self.m)
+        for k in np.unique(lens):
+            rows = np.flatnonzero(lens == k)
+            seg = a.data[a.indptr[rows, None] + np.arange(k)]
+            sq[rows] = (seg[:, None, :] @ seg[:, :, None]).ravel()
+        row_scale = np.maximum(np.sqrt(sq), 1e-12)
+        # the scaled rows are stored in descending column order: it sets the
+        # summation order of every A x in the interior-point loop, and so the
+        # last bits of every reported value
+        rev = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, lens) \
+            - np.arange(a.nnz)
+        self.A = sp.csr_matrix((a.data[rev] * np.repeat(1.0 / row_scale, lens),
+                                a.indices[rev], a.indptr.copy()), shape=a.shape)
+        b_s = self.b / row_scale
+        sb = max(1.0, float(np.linalg.norm(b_s)))
+        sc = max(1.0, float(np.linalg.norm(self.c_vec)))
+        self.b = b_s / sb
+        self.c_vec = self.c_vec / sc
         # per-block column slices, active rows, and "tall" stacked forms used
         # by the Schur-complement assembly
         self.acol, self.act, self.atall = [], [], []
-        for j, d in enumerate(dims):
-            col = a[:, offs[j]:offs[j + 1]].tocsr()
-            nnz_rows = np.flatnonzero(np.diff(col.indptr))
-            self.act.append(nnz_rows)
-            sub = col[nnz_rows].tocoo()
-            self.acol.append(sp.csr_matrix((sub.data, (sub.row, sub.col)),
-                                           shape=(len(nnz_rows), d * d)))
-            tall = sp.coo_matrix(
-                (sub.data, (sub.row * d + sub.col // d, sub.col % d)),
-                shape=(len(nnz_rows) * d, d))
-            self.atall.append(tall.tocsr())
+        for j, d in enumerate(self.dims):
+            sub = self.A[:, self.offs[j]:self.offs[j + 1]].tocoo()
+            act, rows = np.unique(sub.row, return_inverse=True)
+            self.act.append(act)
+            self.acol.append(sp.csr_matrix((sub.data, (rows, sub.col)),
+                                           shape=(len(act), d * d)))
+            self.atall.append(sp.csr_matrix(
+                (sub.data, (rows * d + sub.col // d, sub.col % d)),
+                shape=(len(act) * d, d)))
+        return row_scale, sb, sc
 
     def vec(self, blocks: list[np.ndarray]) -> np.ndarray:
         return np.concatenate([bl.reshape(-1) for bl in blocks])
@@ -345,8 +385,23 @@ class _RawResult:
     message: str
 
 
-def _ipm(rc: _RealConic, tol: SdpTolerances,
-         descale: tuple | None = None) -> _RawResult:
+def _step(scals: list[_Scal], dx_b, ds_b, tau, kap, dtau, dkap,
+          cap: float, damp: float):
+    """Step length min(1, damp * alpha), alpha <= cap the largest step that
+    keeps X, S, tau and kappa in their cones; also returns the directions
+    in the scaled space."""
+    dxt = [_sym(sc.Ri @ dx @ sc.Ri) for sc, dx in zip(scals, dx_b)]
+    dst = [_sym(sc.R @ ds @ sc.R) for sc, ds in zip(scals, ds_b)]
+    alpha = min([cap] + [_alpha_psd(sc, t)
+                         for sc, t in zip(scals + scals, dxt + dst)])
+    if dtau < 0:
+        alpha = min(alpha, -tau / dtau)
+    if dkap < 0:
+        alpha = min(alpha, -kap / dkap)
+    return min(1.0, damp * alpha), dxt, dst
+
+
+def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
     nb = len(rc.dims)
     nu = float(sum(rc.dims))
     xb = [np.eye(d) for d in rc.dims]
@@ -354,14 +409,8 @@ def _ipm(rc: _RealConic, tol: SdpTolerances,
     y = np.zeros(rc.m)
     tau, kap = 1.0, 1.0
     c, b, a = rc.c_vec, rc.b, rc.A
-    if descale is None:
-        row_scale = np.ones(rc.m)
-        scale_b = scale_c = 1.0
-        normb = 1.0 + float(np.linalg.norm(b))
-        normc = 1.0 + float(np.linalg.norm(c))
-    else:
-        # convergence is judged on the original (un-scaled) data magnitudes
-        row_scale, scale_b, scale_c, normb, normc = descale
+    # convergence is judged on the original (un-scaled) data magnitudes
+    row_scale, scale_b, scale_c, normb, normc = descale
     status, msg = None, ""
     it = 0
     stall = 0
@@ -441,18 +490,8 @@ def _ipm(rc: _RealConic, tol: SdpTolerances,
         # affine (predictor) direction
         us_aff = [-scals[j].lam for j in range(nb)]
         dxa, dya, dsa, dta, dka = directions(-rp, -rd, -rg, -tau * kap, us_aff)
-        dxa_b, dsa_b = rc.unvec(dxa), rc.unvec(dsa)
-        dxt_a = [_sym(scals[j].Ri @ dxa_b[j] @ scals[j].Ri) for j in range(nb)]
-        dst_a = [_sym(scals[j].R @ dsa_b[j] @ scals[j].R) for j in range(nb)]
-        alpha = 1.0
-        for j in range(nb):
-            alpha = min(alpha, _alpha_psd(scals[j], dxt_a[j]))
-            alpha = min(alpha, _alpha_psd(scals[j], dst_a[j]))
-        if dta < 0:
-            alpha = min(alpha, -tau / dta)
-        if dka < 0:
-            alpha = min(alpha, -kap / dka)
-        alpha_aff = min(1.0, 0.98 * alpha) if alpha != math.inf else 1.0
+        alpha_aff, dxt_a, dst_a = _step(scals, rc.unvec(dxa), rc.unvec(dsa),
+                                        tau, kap, dta, dka, 1.0, 0.98)
 
         mu_aff = ((float((x + alpha_aff * dxa) @ (s + alpha_aff * dsa))
                    + (tau + alpha_aff * dta) * (kap + alpha_aff * dka))
@@ -471,17 +510,8 @@ def _ipm(rc: _RealConic, tol: SdpTolerances,
             -f * rp, -f * rd, -f * rg,
             sigma * mu - tau * kap - dta * dka, us)
         dx_b, ds_b = rc.unvec(dx), rc.unvec(ds)
-        alpha = 1.0 / 0.98
-        for j in range(nb):
-            dxt = _sym(scals[j].Ri @ dx_b[j] @ scals[j].Ri)
-            dst = _sym(scals[j].R @ ds_b[j] @ scals[j].R)
-            alpha = min(alpha, _alpha_psd(scals[j], dxt))
-            alpha = min(alpha, _alpha_psd(scals[j], dst))
-        if dta2 < 0:
-            alpha = min(alpha, -tau / dta2)
-        if dka2 < 0:
-            alpha = min(alpha, -kap / dka2)
-        step = min(1.0, 0.98 * alpha)
+        step, _, _ = _step(scals, dx_b, ds_b, tau, kap, dta2, dka2,
+                           1.0 / 0.98, 0.98)
 
         if step < 1e-8 and rescues > 0:
             # corrector stalled: fall back to a damped pure-centering step
@@ -495,17 +525,8 @@ def _ipm(rc: _RealConic, tol: SdpTolerances,
             dx, dy, ds, dta2, dka2 = directions(
                 0.0 * rp, 0.0 * rd, 0.0, mu - tau * kap, us_c)
             dx_b, ds_b = rc.unvec(dx), rc.unvec(ds)
-            alpha = 1.0 / 0.9
-            for j in range(nb):
-                dxt = _sym(scals[j].Ri @ dx_b[j] @ scals[j].Ri)
-                dst = _sym(scals[j].R @ ds_b[j] @ scals[j].R)
-                alpha = min(alpha, _alpha_psd(scals[j], dxt))
-                alpha = min(alpha, _alpha_psd(scals[j], dst))
-            if dta2 < 0:
-                alpha = min(alpha, -tau / dta2)
-            if dka2 < 0:
-                alpha = min(alpha, -kap / dka2)
-            step = min(1.0, 0.9 * alpha)
+            step, _, _ = _step(scals, dx_b, ds_b, tau, kap, dta2, dka2,
+                               1.0 / 0.9, 0.9)
 
         if step < 1e-8:
             stall += 1
@@ -546,23 +567,11 @@ def solve(problem: SdpProblem,
     """
     tol = tolerances or SdpTolerances()
     rc = problem.compile()
-
-    # mild pre-scaling: per-row constraint norms, then global b/c norms
-    row_scale = np.ones(rc.m)
-    for i in range(rc.m):
-        lo, hi = rc.A.indptr[i], rc.A.indptr[i + 1]
-        nrm = float(np.linalg.norm(rc.A.data[lo:hi]))
-        row_scale[i] = max(nrm, 1e-12)
-    d_inv = sp.diags(1.0 / row_scale)
-    a_s = (d_inv @ rc.A).tocsr()
-    b_s = rc.b / row_scale
-    sb = max(1.0, float(np.linalg.norm(b_s)))
-    sc = max(1.0, float(np.linalg.norm(rc.c_vec)))
-    rcs = _RealConic(rc.dims, rc.offs, rc.c_vec / sc, a_s, b_s / sb)
-
-    normb = 1.0 + float(np.linalg.norm(rc.b))
-    normc = 1.0 + float(np.linalg.norm(rc.c_vec))
-    raw = _ipm(rcs, tol, descale=(row_scale, sb, sc, normb, normc))
+    a, b, c = rc.A, rc.b, rc.c_vec   # unscaled, for certificates and _verify
+    row_scale, sb, sc = rc.scale()
+    raw = _ipm(rc, tol, descale=(row_scale, sb, sc,
+                                 1.0 + float(np.linalg.norm(b)),
+                                 1.0 + float(np.linalg.norm(c))))
 
     sol = SdpSolution(status=raw.status, iterations=raw.iterations,
                       message=raw.message)
@@ -574,14 +583,14 @@ def solve(problem: SdpProblem,
         sol.primal_blocks = [_extract(blk) for blk in xb]
         sol.dual_y = y
         sol.dual_slack_blocks = [_extract(blk) for blk in slk]
-        sol.primal_value = 0.5 * float(rc.c_vec @ rc.vec(xb))
-        sol.dual_value = 0.5 * float(rc.b @ y)
-        _verify(rc, sol, solver_slack=slk)
+        sol.primal_value = 0.5 * float(c @ rc.vec(xb))
+        sol.dual_value = 0.5 * float(b @ y)
+        _verify(rc, a, b, c, sol, solver_slack=slk)
     elif raw.status is SdpStatus.PRIMAL_INFEASIBLE:
         y = sc * (raw.y / row_scale)
-        byv = float(rc.b @ y) / 2.0
+        byv = float(b @ y) / 2.0
         y = y / byv if abs(byv) > 1e-300 else y
-        zc = rc.unvec(-(rc.A.T @ y))
+        zc = rc.unvec(-(a.T @ y))
         sol.certificate = {
             "kind": "farkas_dual",
             "y": y,
@@ -591,7 +600,7 @@ def solve(problem: SdpProblem,
         sol.dual_y = y
     elif raw.status is SdpStatus.DUAL_INFEASIBLE:
         x = rc.vec(raw.x) * sb
-        cx = 0.5 * float(rc.c_vec @ x)
+        cx = 0.5 * float(c @ x)
         scale = -cx if cx < -1e-300 else 1.0
         blocks = [_extract(blk * sb / scale) for blk in raw.x]
         sol.certificate = {
@@ -603,19 +612,19 @@ def solve(problem: SdpProblem,
     return sol
 
 
-def _verify(rc: _RealConic, sol: SdpSolution,
+def _verify(rc: _RealConic, a, b, c, sol: SdpSolution,
             solver_slack: list[np.ndarray]) -> None:
     """Recompute feasibility residuals and eigenvalue floors from scratch."""
     xb = sol.primal_blocks
     y = sol.dual_y
     x_r = rc.vec([_embed(blk) for blk in xb])
-    res = rc.A @ x_r - rc.b
+    res = a @ x_r - b
     sol.primal_residual = 0.5 * float(np.max(np.abs(res))) if rc.m else 0.0
     sol.min_eig_primal = min(
         float(np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))[0])
         for blk in xb)
     # slack recomputed from y; residual = distance to the slack the solver kept
-    s_r = rc.unvec(rc.c_vec - rc.A.T @ y)
+    s_r = rc.unvec(c - a.T @ y)
     slack = [_extract(sj) for sj in s_r]
     sol.dual_residual = max(
         float(np.max(np.abs(chk - _extract(it_s))))
@@ -702,8 +711,9 @@ class LmiBuilder:
         self.nparams = 0
         self.vars: dict[str, VarRef] = {}
         self.block_dims: list[int] = []
-        self._f0: list[dict] = []       # per block: {(r,c): complex}
-        self._terms: list[dict] = []    # per block: {param: {(r,c): complex}}
+        self._f0: list[np.ndarray] = []    # per block: the constant F_0
+        # (param, block, r, c, value) arrays, in placement order
+        self._terms: list[tuple[np.ndarray, ...]] = []
         self._obj: dict[int, float] = {}
 
     # -- variables ---------------------------------------------------------
@@ -727,28 +737,31 @@ class LmiBuilder:
     # -- blocks and placements ---------------------------------------------
     def new_block(self, size: int) -> int:
         self.block_dims.append(int(size))
-        self._f0.append({})
-        self._terms.append({})
+        self._f0.append(np.zeros((int(size), int(size)), dtype=complex))
         return len(self.block_dims) - 1
 
-    def _bump(self, blk: int, param: int, r: int, c: int, v: complex) -> None:
-        if v == 0:
-            return
-        ent = self._terms[blk].setdefault(param, {})
-        ent[(r, c)] = ent.get((r, c), 0.0) + v
+    def _place(self, blk: int, param, r, c, val) -> None:
+        """Record  y_param * val  at (r, c) of block blk, elementwise over
+        the broadcast arrays; zero values are dropped."""
+        param, r, c, val = np.broadcast_arrays(
+            param, r, c, np.asarray(val, dtype=complex))
+        keep = val != 0
+        self._terms.append((param[keep], np.full(int(keep.sum()), blk),
+                            r[keep], c[keep], val[keep]))
 
-    def add_const(self, blk: int, mat: np.ndarray, at: tuple[int, int] = (0, 0),
-                  herm_pair: bool = False) -> None:
-        """Add a constant matrix to F_0 (with its adjoint mirrored if asked)."""
+    def _place_pairs(self, blk: int, pre, r, c, coeff: float) -> None:
+        """Real part `pre` and imaginary part `pre + 1` of an off-diagonal
+        entry at (r, c), with the adjoint entry at (c, r)."""
+        self._place(blk, np.stack([pre, pre, pre + 1, pre + 1], axis=1),
+                    np.stack([r, c, r, c], axis=1), np.stack([c, r, c, r], axis=1),
+                    np.array([coeff, coeff, coeff * 1j, coeff * (-1j)]))
+
+    def add_const(self, blk: int, mat: np.ndarray,
+                  at: tuple[int, int] = (0, 0)) -> None:
+        """Add a constant matrix to F_0."""
         mat = np.asarray(mat, dtype=complex)
         r0, c0 = at
-        f0 = self._f0[blk]
-        for (i, j), v in np.ndenumerate(mat):
-            if v != 0:
-                f0[(r0 + i, c0 + j)] = f0.get((r0 + i, c0 + j), 0.0) + v
-                if herm_pair:
-                    f0[(c0 + j, r0 + i)] = f0.get((c0 + j, r0 + i), 0.0) \
-                        + np.conj(v)
+        self._f0[blk][r0:r0 + mat.shape[0], c0:c0 + mat.shape[1]] += mat
 
     def add_herm(self, blk: int, var: VarRef, at: int = 0,
                  coeff: float = 1.0) -> None:
@@ -756,15 +769,11 @@ class LmiBuilder:
         if var.kind != "herm":
             raise SdpError("add_herm needs a Hermitian variable")
         d = var.shape[0]
-        for i in range(d):
-            self._bump(blk, var.param("diag", i), at + i, at + i, coeff)
-        for i in range(d):
-            for j in range(i + 1, d):
-                pre, pim = var.param("re", i, j), var.param("im", i, j)
-                self._bump(blk, pre, at + i, at + j, coeff)
-                self._bump(blk, pre, at + j, at + i, coeff)
-                self._bump(blk, pim, at + i, at + j, coeff * 1j)
-                self._bump(blk, pim, at + j, at + i, coeff * (-1j))
+        diag = np.arange(d)
+        self._place(blk, var.offset + diag, at + diag, at + diag, coeff)
+        i, j = np.triu_indices(d, 1)
+        self._place_pairs(blk, var.offset + d + 2 * np.arange(len(i)),
+                          at + i, at + j, coeff)
 
     def add_cplx(self, blk: int, var: VarRef, at: tuple[int, int],
                  coeff: float = 1.0) -> None:
@@ -772,14 +781,9 @@ class LmiBuilder:
         if var.kind != "cplx":
             raise SdpError("add_cplx needs a complex matrix variable")
         r, c = var.shape
-        r0, c0 = at
-        for i in range(r):
-            for j in range(c):
-                pre, pim = var.param("re", i, j), var.param("im", i, j)
-                self._bump(blk, pre, r0 + i, c0 + j, coeff)
-                self._bump(blk, pre, c0 + j, r0 + i, coeff)
-                self._bump(blk, pim, r0 + i, c0 + j, coeff * 1j)
-                self._bump(blk, pim, c0 + j, r0 + i, coeff * (-1j))
+        i, j = np.divmod(np.arange(r * c), c)
+        self._place_pairs(blk, var.offset + 2 * np.arange(r * c),
+                          at[0] + i, at[1] + j, coeff)
 
     def add_scalar(self, blk: int, var: VarRef, mat: np.ndarray,
                    at: tuple[int, int] = (0, 0)) -> None:
@@ -787,15 +791,13 @@ class LmiBuilder:
         if var.kind != "real":
             raise SdpError("add_scalar needs a real scalar variable")
         mat = np.asarray(mat, dtype=complex)
-        r0, c0 = at
-        for (i, j), v in np.ndenumerate(mat):
-            self._bump(blk, var.offset, r0 + i, c0 + j, v)
+        i, j = np.indices(mat.shape)
+        self._place(blk, var.offset, at[0] + i, at[1] + j, mat)
 
     def add_param_term(self, blk: int, param: int, mat) -> None:
         """Raw placement: parameter contributes the given Hermitian matrix."""
         coo = sp.coo_matrix(mat)
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            self._bump(blk, param, int(i), int(j), complex(v))
+        self._place(blk, param, coo.row, coo.col, coo.data)
 
     # -- objective and build -----------------------------------------------
     def minimize(self, coeffs: Sequence[tuple[int, float]]) -> None:
@@ -803,32 +805,17 @@ class LmiBuilder:
             self._obj[k] = self._obj.get(k, 0.0) + float(w)
 
     def build(self) -> "LmiProgram":
-        prob = SdpProblem(self.block_dims,
-                          [self._dict_to_mat(self._f0[b], self.block_dims[b])
-                           for b in range(len(self.block_dims))])
-        used = set()
-        for b in range(len(self.block_dims)):
-            used.update(self._terms[b].keys())
-        if used != set(range(self.nparams)):
-            missing = sorted(set(range(self.nparams)) - used)
-            raise SdpError(f"parameters with no LMI contribution: {missing[:5]}")
-        for k in range(self.nparams):
-            blocks = {}
-            for bidx in range(len(self.block_dims)):
-                ent = self._terms[bidx].get(k)
-                if ent:
-                    blocks[bidx] = -self._dict_to_mat(ent, self.block_dims[bidx])
-            prob.add_constraint(blocks, -self._obj.get(k, 0.0))
+        prob = SdpProblem(self.block_dims, self._f0)
+        empty = (np.zeros(0, dtype=int),) * 4 + (np.zeros(0, dtype=complex),)
+        param, blk, r, c, val = (np.concatenate(a)
+                                 for a in zip(empty, *self._terms))
+        missing = np.setdiff1d(np.arange(self.nparams), param)
+        if len(missing):
+            raise SdpError(f"parameters with no LMI contribution: "
+                           f"{missing[:5].tolist()}")
+        prob._add_rows(param, blk, r, c, -val,
+                       [-self._obj.get(k, 0.0) for k in range(self.nparams)])
         return LmiProgram(self, prob)
-
-    @staticmethod
-    def _dict_to_mat(entries: dict, d: int):
-        if not entries:
-            return sp.coo_matrix((d, d), dtype=complex)
-        rr = np.array([k[0] for k in entries], dtype=int)
-        cc = np.array([k[1] for k in entries], dtype=int)
-        vv = np.array(list(entries.values()), dtype=complex)
-        return sp.coo_matrix((vv, (rr, cc)), shape=(d, d))
 
 
 @dataclass

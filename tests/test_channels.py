@@ -8,6 +8,7 @@ from secrecy.channels import (CqqWiretapChannel, bsc_wiretap_channel,
                               two_pure_state_channel, validate_channel)
 from secrecy.quantum import (DensityOperator, ValidationError, product_state,
                              random_channel, random_pure, trace_norm)
+from secrecy.sdp import SdpError, SdpTolerances
 
 
 class TestValidation:
@@ -115,3 +116,9 @@ class TestCheckDegraded:
             states.append(product_state(bob, eve))
         rev = CqqWiretapChannel(("0", "1"), 2, 2, states)
         assert check_degraded(rev) is None
+
+    def test_unsettled_search_is_a_solver_failure(self):
+        # SdpError (CLI exit 3), not the ValidationError of bad input
+        with pytest.raises(SdpError, match="did not settle"):
+            check_degraded(bsc_wiretap_channel(0.1, 0.2),
+                           SdpTolerances(max_iter=1))

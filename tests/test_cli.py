@@ -1,6 +1,7 @@
 """Tests for the JSON file formats and the command-line front door."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ class TestMatrixJson:
             matrix_from_json([[[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
         with pytest.raises(ValidationError):
             matrix_from_json([])
+        # booleans and non-finite numbers are named by position at parse time
+        for text, where in (("[[[true, 0.0]]]", "(0,0)"),
+                            ("[[[0.0, false]]]", "(0,0)"),
+                            ("[[[NaN, 0.0]]]", "(0,0)"),
+                            ("[[[1.0, 0.0], [0.0, Infinity]]]", "(0,1)"),
+                            ("[[[1.0, 0.0]], [[-Infinity, 0.0]]]", "(1,0)"),
+                            ("[[[1" + "0" * 400 + ", 0]]]", "(0,0)")):
+            with pytest.raises(ValidationError, match=re.escape(where)):
+                matrix_from_json(json.loads(text))
 
 
 class TestChannelFiles:

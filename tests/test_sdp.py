@@ -197,6 +197,80 @@ def test_malformed_rejected():
     lb.add_const(0, np.eye(2))
     with pytest.raises(SdpError):
         lb.build()
+    lb = LmiBuilder()
+    t = lb.real_var("t")
+    blk = lb.new_block(2)
+    lb.add_param_term(blk, t.offset, [[0, 1], [0, 0]])  # not Hermitian
+    with pytest.raises(SdpError, match="not Hermitian"):
+        lb.build()
+    lb = LmiBuilder()
+    t = lb.real_var("t")
+    blk = lb.new_block(1)
+    lb.add_scalar(blk, t, [[1.0]])
+    lb.add_scalar(blk, t, [[-1.0]])  # the row cancels to zero
+    with pytest.raises(SdpError, match="identically zero"):
+        lb.build()
+
+
+def test_builder_compile_and_scaling_match_loop_reference():
+    """Vectorised placement, embedding and row scaling against plain loops."""
+    rng = np.random.default_rng(21)
+    lb = LmiBuilder()
+    t, h, x = lb.real_var("t"), lb.herm_var("H", 2), lb.cplx_var("X", 2, 1)
+    dims = [3, 2]
+    for d in dims:
+        lb.new_block(d)
+    ref = [[np.zeros((d, d), dtype=complex) for d in dims]
+           for _ in range(lb.nparams)]
+    f0 = [rand_herm(d, rng) for d in dims]
+    for blk, mat in enumerate(f0):
+        lb.add_const(blk, mat)
+
+    def pair(blk, pre, pim, r, c, coeff):
+        ref[pre][blk][r, c] += coeff
+        ref[pre][blk][c, r] += coeff
+        ref[pim][blk][r, c] += coeff * 1j
+        ref[pim][blk][c, r] += coeff * (-1j)
+
+    for blk, at, coeff in ((0, 0, 0.7), (0, 1, -1.3), (1, 0, 1.0)):
+        lb.add_herm(blk, h, at=at, coeff=coeff)
+        for i in range(2):
+            ref[h.param("diag", i)][blk][at + i, at + i] += coeff
+        pair(blk, h.param("re", 0, 1), h.param("im", 0, 1), at, at + 1, coeff)
+    lb.add_cplx(0, x, at=(0, 2), coeff=0.4)
+    for i in range(2):
+        pair(0, x.param("re", i, 0), x.param("im", i, 0), i, 2, 0.4)
+    for _ in range(3):  # three sums on the same entries
+        mat = rand_herm(3, rng)
+        lb.add_scalar(0, t, mat)
+        ref[t.offset][0] += mat
+    mat = rand_herm(2, rng)
+    lb.add_param_term(1, t.offset, mat)
+    ref[t.offset][1] += mat
+    obj = dict([(t.offset, 1.0)] + h.trace_real_coeffs())
+    lb.minimize(obj.items())
+
+    got = lb.build().problem.compile()
+    want = SdpProblem(dims, f0)
+    for k in range(lb.nparams):
+        want.add_constraint(dict(enumerate(-m for m in ref[k])),
+                            -obj.get(k, 0.0))
+    want = want.compile()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.A, attr), getattr(want.A, attr))
+    assert np.array_equal(got.b, want.b)
+    assert np.array_equal(got.c_vec, want.c_vec)
+    embedded = [np.concatenate([np.block([[-m.real, m.imag], [-m.imag, -m.real]])
+                                .ravel() for m in row]) for row in ref]
+    assert np.array_equal(got.A.toarray(), np.array(embedded))
+
+    a = got.A.copy()
+    row_scale, _, _ = got.scale()
+    norms = [max(float(np.linalg.norm(a.data[a.indptr[i]:a.indptr[i + 1]])),
+                 1e-12) for i in range(a.shape[0])]
+    assert np.array_equal(row_scale, norms)
+    assert np.array_equal(got.A.toarray(),
+                          a.toarray() * (1.0 / row_scale)[:, None])
 
 
 def test_tolerances_respected():
