@@ -3,15 +3,19 @@
 For a degraded channel the private capacity is a single-letter quantity:
 the input distribution maximizing the conditional mutual information
 I(X : F | E') evaluated through the Stinespring dilation V : B -> E' (x) F
-of the degrading map.  The same projected-gradient machinery also drives
-the Holevo quantity of a cq ensemble and the difference-of-mutual-
-informations lower bound that needs no degradedness assumption.
+of the degrading map.  The same ascent also drives the Holevo quantity of a
+cq ensemble and the difference-of-mutual-informations lower bound that needs
+no degradedness assumption.
 
-All optimizers run projected gradient ascent on the probability simplex
-with central-difference gradients, step halving, and several random
-restarts.  Results carry a first-order certificate (the norm of the
-projected-gradient fixed-point residual) and the spread of the restart
-values, so callers can assert convergence rather than trust it.
+Every objective is a signed sum of entropies of mixtures, so one eigh per
+mixture gives its value and exact gradient, d/dp_x S(sum p_x rho_x) =
+-tr rho_x log2 rho_bar - 1/ln 2 (the constant cancels in every objective
+and in the projection).  One projected-gradient ascent with a doubling,
+halving and quadratic-fit step runs from several random restarts.  Results
+carry the norm of the projected-gradient fixed-point residual and the
+spread of the restart values; for the concave objectives they also carry
+the Frank-Wolfe upper bound ``value + max_x g_x - p.g`` on the maximum
+(Ramakrishnan et al., IEEE Trans. Inf. Theory 67(2), 2021).
 """
 
 from __future__ import annotations
@@ -37,24 +41,34 @@ __all__ = [
     "two_pure_state_capacity_formula",
 ]
 
-_DIFF_H = 1e-6
 _CONV_TOL = 1e-10
 _MAX_ITERS = 5000
+# log2 of a zero eigenvalue: finite, so a state outside the mixture's support
+# gets a large (not infinite) pull toward it
+_LOG_FLOOR = np.finfo(float).tiny
 
 
 @dataclass
 class CapacityResult:
-    """Optimized value with its convergence evidence."""
+    """Optimized value with its convergence evidence.
+
+    ``upper`` is a certified upper bound on the maximum (Frank-Wolfe gap)
+    for the concave objectives, and None where the objective is not concave.
+    """
 
     value: float
     distribution: np.ndarray
     gradient_residual: float
     spread: float
     iterations: int
+    upper: float | None = None
 
     @property
     def certified(self) -> bool:
         return self.gradient_residual <= 1e-6 and self.spread <= 1e-6
+
+
+Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -68,88 +82,141 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _central_gradient(f: Callable[[np.ndarray], float], p: np.ndarray,
-                      h: float = _DIFF_H) -> np.ndarray:
-    g = np.zeros_like(p)
-    fp = None
-    for i in range(len(p)):
-        e = np.zeros_like(p)
-        e[i] = h
-        if p[i] >= h:
-            g[i] = (f(p + e) - f(p - e)) / (2.0 * h)
-        else:
-            # boundary coordinate: one-sided difference keeps weights valid
-            if fp is None:
-                fp = f(p)
-            g[i] = (f(p + e) - fp) / h
-    return g
-
-
-def _ascend(f: Callable[[np.ndarray], float], p0: np.ndarray
-            ) -> tuple[float, np.ndarray, float, int]:
-    p = _project_simplex(np.asarray(p0, dtype=float))
-    fp = f(p)
+def _ascend(fg: Objective, p: np.ndarray, project: Callable
+            ) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """Projected gradient ascent of ``fg`` (value and gradient) from ``p``;
+    returns the value, point, gradient there and iteration count."""
+    p = project(np.asarray(p, dtype=float))
+    fp, g = fg(p)
     step = 1.0
     iters = 0
     for iters in range(1, _MAX_ITERS + 1):
-        g = _central_gradient(f, p)
-        residual = float(np.linalg.norm(_project_simplex(p + g) - p))
-        if residual <= _CONV_TOL:
+        if np.linalg.norm(project(p + g) - p) <= _CONV_TOL:
             break
-        t = min(step * 2.0, 1.0)
-        improved = False
+        t = 2.0 * step
         while t > 1e-14:
-            cand = _project_simplex(p + t * g)
-            fc = f(cand)
+            cand = project(p + t * g)
+            fc, gc = fg(cand)
             if fc > fp + 1e-14:
-                p, fp, step = cand, fc, t
-                improved = True
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
-    g = _central_gradient(f, p)
-    residual = float(np.linalg.norm(_project_simplex(p + g) - p))
-    return fp, p, residual, iters
+        # maximiser of the quadratic through fp, slope g.(cand - p) and fc
+        slope = float(g @ (cand - p))
+        bend = fc - fp - slope
+        if bend < 0.0:
+            t_fit = t * slope / (-2.0 * bend)
+            fit = project(p + t_fit * g)
+            f_fit, g_fit = fg(fit)
+            if f_fit > fc:
+                cand, fc, gc, t = fit, f_fit, g_fit, t_fit
+        p, fp, g, step = cand, fc, gc, t
+    return fp, p, g, iters
 
 
-def _multistart(f: Callable[[np.ndarray], float], size: int, starts: int,
-                seed: int) -> CapacityResult:
-    rng = np.random.default_rng(seed)
-    inits = [np.full(size, 1.0 / size)]
-    inits += [rng.dirichlet(np.ones(size)) for _ in range(max(0, starts - 1))]
+def _multistart(fg: Objective, inits: Sequence[np.ndarray],
+                project: Callable = _project_simplex,
+                concave: bool = True) -> CapacityResult:
     best = None
     values = []
     total_iters = 0
     for p0 in inits:
-        val, p, residual, iters = _ascend(f, p0)
+        val, p, g, iters = _ascend(fg, p0, project)
         values.append(val)
         total_iters += iters
         if best is None or val > best[0]:
-            best = (val, p, residual)
-    spread = float(max(values) - min(values))
-    return CapacityResult(value=float(best[0]), distribution=best[1],
-                          gradient_residual=float(best[2]), spread=spread,
-                          iterations=total_iters)
+            best = (val, p, g)
+    val, p, g = best
+    residual = float(np.linalg.norm(project(p + g) - p))
+    upper = float(val + max(0.0, float(np.max(g) - p @ g))) if concave \
+        else None
+    return CapacityResult(value=float(val), distribution=p,
+                          gradient_residual=residual,
+                          spread=float(max(values) - min(values)),
+                          iterations=total_iters, upper=upper)
+
+
+def _simplex_starts(size: int, starts: int, seed: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [np.full(size, 1.0 / size)] + [
+        rng.dirichlet(np.ones(size)) for _ in range(max(0, starts - 1))]
 
 
 # ---------------------------------------------------------------------------
-# objectives
+# objectives: value and exact gradient
 # ---------------------------------------------------------------------------
 
-def _entropy_mat(mat: np.ndarray) -> float:
-    return von_neumann_entropy(DensityOperator(mat, (mat.shape[0],),
-                                               validate=False))
+def _mixture_entropy(mats: np.ndarray, p: np.ndarray
+                     ) -> tuple[float, np.ndarray]:
+    """S(sum_x p_x mats_x) in bits and, per x, -tr mats_x log2 of the mixture
+    (the partial derivative in p_x less the constant 1/ln 2)."""
+    vals, vecs = np.linalg.eigh(np.tensordot(p, mats, axes=1))
+    vals = np.clip(vals, 0.0, None)
+    logs = np.log2(np.maximum(vals, _LOG_FLOOR))
+    overlaps = np.einsum("ik,xij,jk->xk", vecs.conj(), mats, vecs).real
+    return -float(vals @ logs), -(overlaps @ logs)
 
 
-def _holevo_objective(mats: Sequence[np.ndarray]) -> Callable:
-    ents = [_entropy_mat(m) for m in mats]
+def _holevo_objective(mats: Sequence[np.ndarray]) -> Objective:
+    mats = np.asarray(mats)
+    ents = np.array([von_neumann_entropy(m) for m in mats])
 
-    def f(p: np.ndarray) -> float:
-        avg = sum(float(w) * m for w, m in zip(p, mats))
-        return _entropy_mat(avg) - float(sum(w * e for w, e in zip(p, ents)))
+    def fg(p: np.ndarray) -> tuple[float, np.ndarray]:
+        s, g = _mixture_entropy(mats, p)
+        return s - float(p @ ents), g - ents
 
-    return f
+    return fg
+
+
+def _degraded_objective(channel: CqqWiretapChannel,
+                        structure: DegradedStructure) -> Objective:
+    v = structure.isometry.mat
+    de, df = structure.isometry.out_dims
+    taus = np.array([v @ channel.bob_marginal(x).mat @ v.conj().T
+                     for x in range(channel.size)])
+    taus_e = np.array([DensityOperator(t, (de, df), validate=False)
+                       .partial_trace([0]).mat for t in taus])
+    consts = np.array([von_neumann_entropy(t) - von_neumann_entropy(te)
+                       for t, te in zip(taus, taus_e)])
+
+    def fg(p: np.ndarray) -> tuple[float, np.ndarray]:
+        sj, gj = _mixture_entropy(taus, p)
+        sm, gm = _mixture_entropy(taus_e, p)
+        return sj - sm - float(p @ consts), gj - gm - consts
+
+    return fg
+
+
+def _difference(f_b: Objective, f_e: Objective) -> Objective:
+    def fg(p: np.ndarray) -> tuple[float, np.ndarray]:
+        (vb, gb), (ve, ge) = f_b(p), f_e(p)
+        return vb - ve, gb - ge
+
+    return fg
+
+
+def _aux_objective(bob: np.ndarray, eve: np.ndarray, k: int) -> Objective:
+    """I(U:B) - I(U:E) over theta = (P_U, rows r_kx = P(x|u=k)).  With
+    B_k = sum_x r_kx b_x and B_bar = sum_k P_U(k) B_k its exact gradient is
+    -tr B_k log2 B_bar - S(B_k) in P_U(k) and P_U(k) tr b_x (log2 B_k -
+    log2 B_bar) in r_kx, less the same with Eve's states."""
+    m = bob.shape[0]
+
+    def fg(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        pu, rows = theta[:k], theta[k:].reshape(k, m)
+        value, g_pu, g_rows = 0.0, np.zeros(k), np.zeros((k, m))
+        for mats, sign in ((bob, 1.0), (eve, -1.0)):
+            s_bar, d_bar = _mixture_entropy(mats, pu @ rows)
+            parts = [_mixture_entropy(mats, row) for row in rows]
+            s_k = np.array([s for s, _ in parts])
+            d_k = np.array([d for _, d in parts])
+            value += sign * (s_bar - float(pu @ s_k))
+            g_pu += sign * (rows @ d_bar - s_k)
+            g_rows += sign * pu[:, None] * (d_bar[None, :] - d_k)
+        return value, np.concatenate([g_pu, g_rows.reshape(-1)])
+
+    return fg
 
 
 def private_capacity_degraded(channel: CqqWiretapChannel,
@@ -169,26 +236,8 @@ def private_capacity_degraded(channel: CqqWiretapChannel,
             raise ValidationError(
                 "channel is not degraded; the single-letter formula "
                 "does not apply")
-    v = structure.isometry.mat
-    de, df = structure.isometry.out_dims
-    taus = []
-    taus_e = []
-    consts = []
-    for x in range(channel.size):
-        tau = v @ channel.bob_marginal(x).mat @ v.conj().T
-        full = DensityOperator(tau, (de, df), validate=False)
-        tau_e = full.partial_trace([0]).mat
-        taus.append(tau)
-        taus_e.append(tau_e)
-        consts.append(_entropy_mat(tau) - _entropy_mat(tau_e))
-
-    def f(p: np.ndarray) -> float:
-        joint = sum(float(w) * t for w, t in zip(p, taus))
-        marg = sum(float(w) * t for w, t in zip(p, taus_e))
-        lin = float(sum(w * c for w, c in zip(p, consts)))
-        return _entropy_mat(joint) - _entropy_mat(marg) - lin
-
-    return _multistart(f, channel.size, starts, seed)
+    return _multistart(_degraded_objective(channel, structure),
+                       _simplex_starts(channel.size, starts, seed))
 
 
 def classical_capacity_cq(states: Sequence[DensityOperator],
@@ -200,7 +249,7 @@ def classical_capacity_cq(states: Sequence[DensityOperator],
     if len(dims) != 1:
         raise ValidationError("signal states live on different systems")
     return _multistart(_holevo_objective([s.mat for s in states]),
-                       len(states), starts, seed)
+                       _simplex_starts(len(states), starts, seed))
 
 
 def p1_general_lower_bound(channel: CqqWiretapChannel,
@@ -212,86 +261,34 @@ def p1_general_lower_bound(channel: CqqWiretapChannel,
     variable is the input itself and only its distribution is optimized.
     A larger auxiliary alphabet additionally optimizes the conditional
     rows; any feasible point is a valid achievability bound, so local
-    optima are acceptable there.
+    optima are acceptable there.  The objective is not concave, so the
+    result carries no upper bound.
     """
-    bob = [channel.bob_marginal(x).mat for x in range(channel.size)]
-    eve = [channel.eve_marginal(x).mat for x in range(channel.size)]
-    f_b = _holevo_objective(bob)
-    f_e = _holevo_objective(eve)
-
+    bob = np.array([channel.bob_marginal(x).mat for x in range(channel.size)])
+    eve = np.array([channel.eve_marginal(x).mat for x in range(channel.size)])
     if aux_size is None or aux_size == channel.size:
-        return _multistart(lambda p: f_b(p) - f_e(p),
-                           channel.size, starts, seed)
+        return _multistart(_difference(_holevo_objective(bob),
+                                       _holevo_objective(eve)),
+                           _simplex_starts(channel.size, starts, seed),
+                           concave=False)
 
     if aux_size < 1:
         raise ValidationError("auxiliary alphabet must be nonempty")
     k, m = int(aux_size), channel.size
     rng = np.random.default_rng(seed)
-
-    def unpack(theta: np.ndarray):
-        pu = theta[:k]
-        rows = theta[k:].reshape(k, m)
-        return pu, rows
-
-    def value(theta: np.ndarray) -> float:
-        pu, rows = unpack(theta)
-        total = 0.0
-        mix_b = [sum(float(r) * b for r, b in zip(row, bob)) for row in rows]
-        mix_e = [sum(float(r) * e for r, e in zip(row, eve)) for row in rows]
-        avg_b = sum(float(w) * mb for w, mb in zip(pu, mix_b))
-        avg_e = sum(float(w) * me for w, me in zip(pu, mix_e))
-        total += _entropy_mat(avg_b) - sum(
-            float(w) * _entropy_mat(mb) for w, mb in zip(pu, mix_b))
-        total -= _entropy_mat(avg_e) - sum(
-            float(w) * _entropy_mat(me) for w, me in zip(pu, mix_e))
-        return total
+    inits = [np.concatenate([np.full(k, 1.0 / k)]
+                            + [np.eye(m)[i % m] for i in range(k)])]
+    for _ in range(max(1, starts) - 1):
+        pu = rng.dirichlet(np.ones(k))
+        inits.append(np.concatenate(
+            [pu, rng.dirichlet(np.ones(m), size=k).reshape(-1)]))
 
     def project(theta: np.ndarray) -> np.ndarray:
-        pu, rows = unpack(theta)
-        out = np.concatenate([_project_simplex(pu)]
-                             + [_project_simplex(r) for r in rows])
-        return out
+        return np.concatenate([_project_simplex(theta[:k])] + [
+            _project_simplex(r) for r in theta[k:].reshape(k, m)])
 
-    best = None
-    values = []
-    total_iters = 0
-    for s in range(max(1, starts)):
-        if s == 0:
-            pu = np.full(k, 1.0 / k)
-            rows = np.vstack([np.eye(m)[i % m] for i in range(k)])
-        else:
-            pu = rng.dirichlet(np.ones(k))
-            rows = rng.dirichlet(np.ones(m), size=k)
-        theta = np.concatenate([pu, rows.reshape(-1)])
-        fp = value(theta)
-        step = 1.0
-        for it in range(1, _MAX_ITERS + 1):
-            total_iters += 1
-            g = _central_gradient(value, theta)
-            residual = float(np.linalg.norm(project(theta + g) - theta))
-            if residual <= _CONV_TOL:
-                break
-            t = min(step * 2.0, 1.0)
-            improved = False
-            while t > 1e-14:
-                cand = project(theta + t * g)
-                fc = value(cand)
-                if fc > fp + 1e-14:
-                    theta, fp, step = cand, fc, t
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                break
-        g = _central_gradient(value, theta)
-        residual = float(np.linalg.norm(project(theta + g) - theta))
-        values.append(fp)
-        if best is None or fp > best[0]:
-            best = (fp, theta, residual)
-    return CapacityResult(value=float(best[0]), distribution=best[1],
-                          gradient_residual=float(best[2]),
-                          spread=float(max(values) - min(values)),
-                          iterations=total_iters)
+    return _multistart(_aux_objective(bob, eve, k), inits, project,
+                       concave=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +312,8 @@ def grid_search_binary(objective: Callable[[np.ndarray], float],
 
 def holevo_of(states: Sequence[DensityOperator]) -> Callable:
     """Holevo quantity of the given states as a function of the weights."""
-    return _holevo_objective([s.mat for s in states])
+    fg = _holevo_objective([s.mat for s in states])
+    return lambda p: fg(p)[0]
 
 
 def bsc_wiretap_capacity_formula(p: float, r: float) -> float:

@@ -284,12 +284,18 @@ def decode_distribution(code: WiretapCode,
     povm = code.decoder if code.decoder is not None \
         else _trivial_decoder(code, channel)
     states = encoder_output_states(code, channel)
-    m = code.m
+    return _decode_distribution([s.partial_trace([0]).mat for s in states],
+                                povm)
+
+
+def _decode_distribution(bob: list[np.ndarray],
+                         povm: tuple[np.ndarray, ...]) -> np.ndarray:
+    """P(u, uhat) from the receiver's per-message block states."""
+    m = len(bob)
     p = np.zeros((m, m))
-    for u in range(m):
-        bob = states[u].partial_trace([0]).mat
+    for u, rho in enumerate(bob):
         for uh in range(m):
-            p[u, uh] = max(0.0, float(np.real(np.trace(povm[uh] @ bob)))) / m
+            p[u, uh] = max(0.0, float(np.real(np.trace(povm[uh] @ rho)))) / m
     return p
 
 
@@ -397,12 +403,13 @@ def evaluate_code(code: WiretapCode, channel: CqqWiretapChannel,
     if privacy_mode not in ("optimized", "fixed"):
         raise ValidationError(
             f"privacy_mode must be 'optimized' or 'fixed', got {privacy_mode!r}")
-    if code.decoder is None and code.m > 1:
-        povm, _ = optimal_decoder(code.encoder, channel, code.n, tolerances)
-        code = code.with_decoder(povm)
-    p = decode_distribution(code, channel)
-    eps_star = _transmission_error(p)
     states = encoder_output_states(code, channel)
+    bob = [s.partial_trace([0]).mat for s in states]
+    if code.decoder is None and code.m > 1:
+        code = code.with_decoder(_synthesize(bob, tolerances)[0])
+    p = _decode_distribution(bob, code.decoder if code.decoder is not None
+                             else _trivial_decoder(code, channel))
+    eps_star = _transmission_error(p)
     eve = [s.partial_trace([1]).mat for s in states]
     if privacy_mode == "fixed":
         delta_star = _privacy_fixed(eve)
@@ -515,10 +522,15 @@ def optimal_decoder(encoder: np.ndarray, channel: CqqWiretapChannel, n: int,
     m = enc.shape[0]
     probe = WiretapCode(m, n, channel.size, enc)
     states = encoder_output_states(probe, channel)
-    bob = [s.partial_trace([0]).mat for s in states]
-    d = channel.dim_b ** n
+    return _synthesize([s.partial_trace([0]).mat for s in states], tolerances)
+
+
+def _synthesize(bob: list[np.ndarray], tolerances: SdpTolerances | None
+                ) -> tuple[tuple[np.ndarray, ...], float]:
+    """``optimal_decoder`` on the receiver's per-message block states."""
+    m = len(bob)
     if m == 1:
-        return (np.eye(d, dtype=complex),), 1.0
+        return (np.eye(bob[0].shape[0], dtype=complex),), 1.0
     if m == 2:
         povm = _helstrom_povm(bob[0], bob[1])
         return povm, _success(povm, bob)
@@ -614,13 +626,14 @@ def brute_force_M(channel: CqqWiretapChannel, n: int, eps: float,
                 candidates.append(np.array(combo))
         found = None
         for enc in candidates:
-            code = WiretapCode(m, n, channel.size, enc)
+            povm = optimal_decoder(enc, channel, n)[0] if m > 1 \
+                else (np.eye(channel.dim_b ** n, dtype=complex),)
+            code = WiretapCode(m, n, channel.size, enc, decoder=povm)
             perf = evaluate_code(code, channel,
                                  privacy_mode=cfg.privacy_mode)
             if perf.eps_star <= eps + cfg.tol \
                     and perf.delta_star <= delta + cfg.tol:
-                povm, _ = optimal_decoder(enc, channel, n)
-                found = code.with_decoder(povm)
+                found = code
                 break
         if found is not None:
             best_m, witness = m, found

@@ -1,15 +1,19 @@
 """Capacity optimizers against closed forms and independent grid scans."""
 
+import math
+
 import numpy as np
 import pytest
 
-from secrecy.capacity import (bsc_wiretap_capacity_formula,
+from secrecy.capacity import (_aux_objective, _degraded_objective,
+                              _difference, _holevo_objective,
+                              bsc_wiretap_capacity_formula,
                               classical_capacity_cq, grid_search_binary,
                               holevo_of, p1_general_lower_bound,
                               private_capacity_degraded,
                               two_pure_state_capacity_formula)
 from secrecy.channels import (bsc_wiretap_channel, check_degraded,
-                              random_degraded_channel,
+                              random_degraded_channel, structure_from_map,
                               two_pure_state_channel)
 from secrecy.quantum import ValidationError, basis_state
 
@@ -119,3 +123,102 @@ class TestOptimizerMachinery:
         rev = CqqWiretapChannel(("0", "1"), 2, 2, states)
         with pytest.raises(ValidationError, match="not degraded"):
             private_capacity_degraded(rev)
+
+
+def _central_difference(fg, p, h=1e-6):
+    """Oracle gradient of the value returned by ``fg``, in every coordinate."""
+    g = np.zeros_like(p)
+    for i in range(len(p)):
+        e = np.zeros_like(p)
+        e[i] = h
+        g[i] = (fg(p + e)[0] - fg(p - e)[0]) / (2.0 * h)
+    return g
+
+
+class TestExactGradients:
+    """Each analytic gradient against central differences at seeded
+    interior points."""
+
+    def _channels(self):
+        rng = np.random.default_rng(11)
+        for k in range(4):
+            ch, dmap = random_degraded_channel(
+                rng, family=("pure", "classical")[k % 2])
+            yield ch, dmap, rng.dirichlet(np.ones(ch.size))
+
+    def test_degraded(self):
+        for ch, dmap, p in self._channels():
+            fg = _degraded_objective(ch, structure_from_map(ch, dmap))
+            assert fg(p)[1] == pytest.approx(_central_difference(fg, p),
+                                             abs=1e-6)
+
+    def test_holevo(self):
+        # the exact derivative carries the constant -1/ln 2 that the
+        # ascent drops
+        for ch, _, p in self._channels():
+            fg = _holevo_objective([ch.bob_marginal(x).mat
+                                    for x in range(ch.size)])
+            assert fg(p)[1] - 1.0 / math.log(2.0) == pytest.approx(
+                _central_difference(fg, p), abs=1e-6)
+
+    def test_p1(self):
+        for ch, _, p in self._channels():
+            fg = _difference(
+                _holevo_objective([ch.bob_marginal(x).mat
+                                   for x in range(ch.size)]),
+                _holevo_objective([ch.eve_marginal(x).mat
+                                   for x in range(ch.size)]))
+            assert fg(p)[1] == pytest.approx(_central_difference(fg, p),
+                                             abs=1e-6)
+
+    def test_aux_branch(self):
+        rng = np.random.default_rng(12)
+        for ch, _, _ in self._channels():
+            bob = np.array([ch.bob_marginal(x).mat for x in range(ch.size)])
+            eve = np.array([ch.eve_marginal(x).mat for x in range(ch.size)])
+            for k in (2, 3):
+                fg = _aux_objective(bob, eve, k)
+                theta = np.concatenate(
+                    [rng.dirichlet(np.ones(k))]
+                    + list(rng.dirichlet(np.ones(ch.size), size=k)))
+                assert fg(theta)[1] == pytest.approx(
+                    _central_difference(fg, theta), abs=1e-6)
+
+
+class TestFlatObjectives:
+    """A near-zero capacity and a channel whose step search used to
+    overshoot: both reach the closed form in a few iterations."""
+
+    @pytest.mark.parametrize("p,r", [(0.45, 0.01), (0.058, 0.331)])
+    def test_closed_form_in_few_iterations(self, p, r):
+        ch = bsc_wiretap_channel(p, r)
+        formula = bsc_wiretap_capacity_formula(p, r)
+        for res in (private_capacity_degraded(ch), p1_general_lower_bound(ch)):
+            assert res.value == pytest.approx(formula, abs=1e-6)
+            assert res.certified
+            assert res.iterations <= 500
+
+
+class TestUpperBound:
+    """The Frank-Wolfe bound of the concave objectives brackets the closed
+    form; the non-concave lower bound carries none."""
+
+    def _check(self, res, formula):
+        assert res.upper >= formula - 1e-9
+        assert res.upper - res.value <= 1e-6
+
+    def test_bsc_family(self):
+        for p, r in ((0.1, 0.2), (0.05, 0.3), (0.2, 0.1), (0.45, 0.01),
+                     (0.058, 0.331)):
+            ch = bsc_wiretap_channel(p, r)
+            self._check(private_capacity_degraded(ch),
+                        bsc_wiretap_capacity_formula(p, r))
+            assert p1_general_lower_bound(ch).upper is None
+
+    def test_two_pure_state_family(self):
+        for s in (0.0, 0.3, 2 ** -0.5, 0.9):
+            ch = two_pure_state_channel(s)
+            formula = two_pure_state_capacity_formula(s)
+            self._check(private_capacity_degraded(ch), formula)
+            self._check(classical_capacity_cq(
+                [ch.bob_marginal(0), ch.bob_marginal(1)]), formula)
