@@ -17,14 +17,20 @@ from secrecy.io import save_channel, save_state
 from secrecy.quantum import maximally_entangled
 
 
-def run(argv):
+def run(argv, expect=0):
     print(f"$ secrecy {' '.join(argv)}")
     code = main(argv)
     print(f"  -> exit {code}\n")
+    if code != expect:
+        raise SystemExit(f"expected exit {expect}, got {code}")
 
 
 def main_demo():
-    tmp = Path(tempfile.mkdtemp())
+    with tempfile.TemporaryDirectory() as name:
+        tour(Path(name))
+
+
+def tour(tmp):
     chan = tmp / "bsc.json"
     save_channel(bsc_wiretap_channel(0.1, 0.2), chan)
     bell = tmp / "bell.json"
@@ -39,7 +45,7 @@ def main_demo():
     run(["converse", str(chan), "-n", "100", "--eps", "0.1",
          "--delta", "0.1"])
     run(["converse", str(chan), "-n", "100", "--eps", "0.6",
-         "--delta", "0.3"])   # outside the region: exit 2
+         "--delta", "0.3"], expect=2)   # outside the region
 
     csv_path = tmp / "region.csv"
     run(["region", "--grid", "4", "-o", str(csv_path)])

@@ -14,8 +14,11 @@ from secrecy.quantum import (DensityOperator, maximally_entangled,
                              random_density)
 
 
-def show(label, value):
+def show(label, value, expect=None):
+    """Print a value; with `expect`, also check it against its closed form."""
     print(f"  {label:<38s} {value:+.6f}")
+    if expect is not None and abs(value - expect) > 1e-6:
+        raise SystemExit(f"{label}: {value} is not the closed form {expect}")
 
 
 def main():
@@ -24,19 +27,19 @@ def main():
     print("exact conditional entropies (A|B):")
     bell = maximally_entangled(2)
     show("H_min, maximally entangled pair", h_min_smooth(
-        EntropyQuery(bell, (0,), (1,), 0.0)))
+        EntropyQuery(bell, (0,), (1,), 0.0)), -1.0)
     show("H_max, maximally entangled pair", h_max(
-        EntropyQuery(bell, (0,), (1,), 0.0)))
+        EntropyQuery(bell, (0,), (1,), 0.0)), -1.0)
 
     sigma = random_density((2,), rng)
     product = DensityOperator(np.kron(np.eye(2) / 2, sigma.mat), (2, 2))
     show("H_min, I/2 (x) sigma", h_min_smooth(
-        EntropyQuery(product, (0,), (1,), 0.0)))
+        EntropyQuery(product, (0,), (1,), 0.0)), 1.0)
 
     corr = DensityOperator(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex),
                            (2, 2))
     show("H_min, perfectly correlated bits", h_min_smooth(
-        EntropyQuery(corr, (0,), (1,), 0.0)))
+        EntropyQuery(corr, (0,), (1,), 0.0)), 0.0)
 
     print("\nsmoothing monotonicity on a random two-qubit state:")
     rho = random_density((2, 2), rng, rank=3)

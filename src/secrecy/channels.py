@@ -27,7 +27,8 @@ from .quantum import (DensityOperator, Isometry, QuantumChannel,
                       ValidationError, basis_state, channel_from_choi,
                       classical_state, product_state, pure_state,
                       random_channel, random_pure, trace_norm)
-from .sdp import SdpError, SdpProblem, SdpStatus, SdpTolerances, solve
+from .sdp import (SdpError, SdpProblem, SdpStatus, SdpTolerances,
+                  herm_equality_rows, solve)
 
 __all__ = [
     "CqqWiretapChannel",
@@ -114,12 +115,6 @@ class DegradedStructure:
     choi: np.ndarray = field(repr=False, default=None)
 
 
-def _unit_mat(d: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 def check_degraded(channel: CqqWiretapChannel,
                    tolerances: SdpTolerances | None = None,
                    eig_cutoff: float = 1e-10) -> DegradedStructure | None:
@@ -136,37 +131,16 @@ def check_degraded(channel: CqqWiretapChannel,
     eye_e = np.eye(de, dtype=complex)
 
     # trace preservation: tr_E J = 1_B
-    for p in range(db):
-        for q in range(p, db):
-            if p == q:
-                prob.add_constraint(
-                    {0: np.kron(_unit_mat(db, p, p), eye_e)}, 1.0)
-            else:
-                re = _unit_mat(db, p, q) + _unit_mat(db, q, p)
-                im = 1j * _unit_mat(db, p, q) - 1j * _unit_mat(db, q, p)
-                prob.add_constraint({0: np.kron(re, eye_e)}, 0.0)
-                prob.add_constraint({0: np.kron(im, eye_e)}, 0.0)
+    for e, rhs in herm_equality_rows(np.eye(db)):
+        prob.add_constraint({0: np.kron(e, eye_e)}, rhs)
 
-    # marginal matching per symbol; the last diagonal entry of each target
-    # is implied by trace preservation, so its row is omitted
+    # marginal matching per symbol; the last row of each target, its
+    # (d_E-1, d_E-1) diagonal entry, is implied by trace preservation
     for x in range(channel.size):
         rho_bt = channel.bob_marginal(x).mat.T.copy()
-        target = channel.eve_marginal(x).mat
-        for p in range(de):
-            for q in range(p, de):
-                if p == q:
-                    if p == de - 1:
-                        continue
-                    prob.add_constraint(
-                        {0: np.kron(rho_bt, _unit_mat(de, p, p))},
-                        float(np.real(target[p, p])))
-                else:
-                    re = _unit_mat(de, p, q) + _unit_mat(de, q, p)
-                    im = 1j * _unit_mat(de, p, q) - 1j * _unit_mat(de, q, p)
-                    prob.add_constraint({0: np.kron(rho_bt, re)},
-                                        2.0 * float(np.real(target[p, q])))
-                    prob.add_constraint({0: np.kron(rho_bt, im)},
-                                        2.0 * float(np.imag(target[p, q])))
+        rows = list(herm_equality_rows(channel.eve_marginal(x).mat))
+        for e, rhs in rows[:-1]:
+            prob.add_constraint({0: np.kron(rho_bt, e)}, rhs)
 
     sol = solve(prob, tolerances)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:

@@ -15,8 +15,8 @@ measured in purified distance against the ideal objects:
 ``optimal_decoder`` synthesizes the success-probability-maximizing POVM by
 semidefinite programming, ``nogo_mixture_code`` builds the constant-biased
 codes that witness the sharpness of the converse region, and
-``brute_force_M`` searches desk-scale instances exhaustively for the largest
-admissible message count.
+``brute_force_M`` searches the encoders of desk-scale instances exhaustively
+for the largest admissible message count.
 
 Block sizes grow as ``M * (dim_B * dim_E)**n``; a guard raises once that
 exceeds the desk budget, adjustable through the ``SECRECY_BUDGET_DIM``
@@ -33,10 +33,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import CqqWiretapChannel
-from .entropy import _support_factor
+from .entropy import _support_factor, _trace_row
 from .quantum import DensityOperator, ValidationError, fidelity
 from .sdp import (LmiBuilder, SdpError, SdpProblem, SdpStatus, SdpTolerances,
-                  solve)
+                  herm_equality_rows, solve)
 
 __all__ = [
     "BUDGET_ENV",
@@ -377,9 +377,7 @@ def _privacy_optimized(eve_states: list[np.ndarray],
     bld.add_herm(psd, ref)
     cap = bld.new_block(1)
     bld.add_const(cap, np.array([[1.0]], dtype=complex))
-    for i in range(d):
-        bld.add_param_term(cap, ref.param("diag", i),
-                           np.array([[-1.0]], dtype=complex))
+    bld.add_param_term(cap, *_trace_row(ref, -1.0))
     bld.minimize(obj)
     sol = bld.build().solve(tolerances)
     if sol.value is None:
@@ -471,23 +469,8 @@ def _discrimination_sdp(bob: list[np.ndarray],
     d = bob[0].shape[0]
     prob = SdpProblem([d] * m, [-rho / m for rho in bob])
 
-    def everywhere(mat: np.ndarray) -> dict[int, np.ndarray]:
-        return {u: mat for u in range(m)}
-
-    for p in range(d):
-        for q in range(p, d):
-            if p == q:
-                e = np.zeros((d, d), dtype=complex)
-                e[p, p] = 1.0
-                prob.add_constraint(everywhere(e), 1.0)
-            else:
-                re = np.zeros((d, d), dtype=complex)
-                re[p, q] = re[q, p] = 1.0
-                im = np.zeros((d, d), dtype=complex)
-                im[p, q] = 1j
-                im[q, p] = -1j
-                prob.add_constraint(everywhere(re), 0.0)
-                prob.add_constraint(everywhere(im), 0.0)
+    for e, rhs in herm_equality_rows(np.eye(d)):
+        prob.add_constraint({u: e for u in range(m)}, rhs)
 
     sol = solve(prob, tolerances)
     if sol.status is not SdpStatus.OPTIMAL:
@@ -599,12 +582,15 @@ def brute_force_M(channel: CqqWiretapChannel, n: int, eps: float,
                   delta: float, config: SearchConfig | None = None
                   ) -> tuple[int, WiretapCode | None]:
     """Largest message count admitting a code with eps* <= eps and
-    delta* <= delta, by exhaustive search, with a witness code.
+    delta* <= delta, by a search exhaustive over encoders, with a witness
+    code.
 
     Deterministic encoders are enumerated as codeword multisets; stochastic
     encoders on a probability grid are added on top.  Every candidate is
-    completed with its optimal decoder before evaluation.  Desk scale only:
-    the joint-state budget guard applies per candidate.
+    completed with its average-success-maximizing decoder before
+    evaluation; whether a decoder minimizing eps* instead would admit a
+    larger M is not checked.  Desk scale only: the joint-state budget guard
+    applies per candidate.
     """
     cfg = config or SearchConfig()
     if cfg.m_max < 1:

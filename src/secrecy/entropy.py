@@ -49,12 +49,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .quantum import (DensityOperator, ValidationError, conditional_entropy,
                       purify)
 from .sdp import (LmiBuilder, LmiSolution, SdpError, SdpStatus,
-                  SdpTolerances, VarRef)
+                  SdpTolerances, VarRef, herm_basis)
 
 __all__ = [
     "EntropyQuery",
@@ -151,53 +150,28 @@ def _solved(program, tolerances) -> LmiSolution:
                    f"{sol.sdp.status.value} ({sol.sdp.message})")
 
 
-def _kron_basis_mat(entries, left_dim: int, d: int) -> sp.coo_matrix:
-    """Sparse 1_{left_dim} (x) E for a basis contribution E given by entries."""
-    rows, cols, vals = [], [], []
-    for i, j, v in entries:
-        for a in range(left_dim):
-            rows.append(a * d + i)
-            cols.append(a * d + j)
-            vals.append(v)
-    n = left_dim * d
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+def _lifted_basis(da: int, db: int) -> np.ndarray:
+    """herm_basis(db) lifted to 1_{da} (x) E_k."""
+    return np.kron(np.eye(da), herm_basis(db))
 
 
-def _place_kron_identity(bld: LmiBuilder, blk: int, var: VarRef,
-                         left_dim: int, at: int = 0,
-                         coeff: float = 1.0) -> None:
-    """Place coeff * (1_{left_dim} (x) H) at diagonal offset ``at``."""
-    d = var.shape[0]
-    for p, entries in _herm_param_basis(var):
-        m = _kron_basis_mat(entries, left_dim, d) * coeff
-        size = at + left_dim * d
-        bld.add_param_term(blk, p, sp.coo_matrix(
-            (m.data, (m.row + at, m.col + at)), shape=(size, size)))
+def _trace_row(var: VarRef, coeff: float):
+    """(params, 1 x 1 images) placing coeff * Re tr(var) in a scalar entry."""
+    params, weights = zip(*var.trace_real_coeffs())
+    return list(params), coeff * np.array(weights)[:, None, None]
 
 
-def _herm_param_basis(var: VarRef):
-    """Yield (parameter index, unit-contribution entries) for a Hermitian var."""
-    d = var.shape[0]
-    for i in range(d):
-        yield var.param("diag", i), [(i, i, 1.0)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            yield var.param("re", i, j), [(i, j, 1.0), (j, i, 1.0)]
-            yield var.param("im", i, j), [(i, j, 1j), (j, i, -1j)]
-
-
-def _scalar_entry(value: float) -> sp.coo_matrix:
-    return sp.coo_matrix(([value], ([0], [0])), shape=(1, 1))
-
-
-def _place_dense(bld: LmiBuilder, blk: int, param: int, mat: np.ndarray,
-                 at: tuple[int, int] = (0, 0)) -> None:
-    """Raw per-parameter placement of a dense matrix at a block offset."""
-    m = sp.coo_matrix(np.asarray(mat, dtype=complex))
-    r0, c0 = at
-    size = max(r0 + m.shape[0], c0 + m.shape[1])
-    bld.add_param_term(blk, param, sp.coo_matrix(
-        (m.data, (m.row + r0, m.col + c0)), shape=(size, size)))
+def _place_corner(bld: LmiBuilder, blk: int, var: VarRef,
+                  vee: np.ndarray) -> None:
+    """Place V^dag H V, for the Hermitian variable H, at diagonal offset r
+    (the fidelity corner beside an r x r support block), d basis images at
+    a time so the stack stays at d^3 entries."""
+    d, r = vee.shape
+    vh = vee.conj().T
+    for k0 in range(0, d * d, d):
+        ks = np.arange(k0, k0 + d)
+        bld.add_param_term(blk, var.params[ks], vh @ herm_basis(d, ks) @ vee,
+                           at=(r, r))
 
 
 def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,19 +188,32 @@ def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Exact entropies
 # ---------------------------------------------------------------------------
 
-def _hmin_program(rho: np.ndarray, da: int, db: int):
+def _hmin_program(rblocks: Sequence[np.ndarray],
+                  stacks: Sequence[Sequence[np.ndarray]],
+                  weights: Sequence[float]):
+    """min sum_mu w_mu tr S_mu  s.t.  sum_mu L_mu(S_mu)_lam >= R_lam per block.
+
+    stacks[mu][lam] holds the images in block lam of the herm_basis
+    parameters of S_mu.  h_min is the one-block case L(S) = 1_A (x) S; the
+    tensor-power program has one block per irrep of S_n.
+    """
     bld = LmiBuilder()
-    sig = bld.herm_var("sigma", db)
-    blk = bld.new_block(da * db)
-    bld.add_const(blk, -rho)
-    _place_kron_identity(bld, blk, sig, da)
-    bld.minimize(sig.trace_real_coeffs())
+    svars = [bld.herm_var(f"S_{mu}", math.isqrt(len(st[0])))
+             for mu, st in enumerate(stacks)]
+    for lam, rblock in enumerate(rblocks):
+        blk = bld.new_block(rblock.shape[0])
+        bld.add_const(blk, -rblock)
+        for var, st in zip(svars, stacks):
+            bld.add_param_term(blk, var.params, st[lam])
+    bld.minimize([(p, float(w) * c) for var, w in zip(svars, weights)
+                  for p, c in var.trace_real_coeffs()])
     return bld.build()
 
 
 def _hmin_exact(rho: np.ndarray, da: int, db: int,
                 tolerances: SdpTolerances | None):
-    sol = _solved(_hmin_program(rho, da, db), tolerances)
+    program = _hmin_program([rho], [[_lifted_basis(da, db)]], [1])
+    sol = _solved(program, tolerances)
     return -math.log2(sol.value), sol
 
 
@@ -241,9 +228,8 @@ def _hmax_direct(rho: np.ndarray, da: int, db: int,
     blk = bld.new_block(2 * r)
     bld.add_const(blk, big)
     bld.add_cplx(blk, x, at=(0, r))
-    for p, entries in _herm_param_basis(sig):
-        kr = _kron_basis_mat(entries, da, db)
-        _place_dense(bld, blk, p, vee.conj().T @ (kr @ vee), at=(r, r))
+    bld.add_param_term(blk, sig.params,
+                       vee.conj().T @ (_lifted_basis(da, db) @ vee), at=(r, r))
     # The compressed corner sees only V^dag (1 (x) sigma) V, so positivity
     # of sigma itself is a separate requirement (without it, signed parts
     # invisible to the compression could cheat the trace cap).
@@ -251,8 +237,7 @@ def _hmax_direct(rho: np.ndarray, da: int, db: int,
     bld.add_herm(spos, sig)
     cap = bld.new_block(1)
     bld.add_const(cap, np.array([[1.0]]))
-    for p, w in sig.trace_real_coeffs():
-        bld.add_param_term(cap, p, _scalar_entry(-w))
+    bld.add_param_term(cap, *_trace_row(sig, -1.0))
     bld.minimize([(p, -w) for p, w in x.trace_real_coeffs()])
     sol = _solved(bld.build(), tolerances)
     froot = -sol.value
@@ -321,7 +306,7 @@ def _hmin_smooth_sdp(rho: np.ndarray, da: int, db: int, eps: float,
     x = bld.cplx_var("x", r, r)
 
     dom = bld.new_block(d)
-    _place_kron_identity(bld, dom, sig, da)
+    bld.add_param_term(dom, sig.params, _lifted_basis(da, db))
     bld.add_herm(dom, rhop, coeff=-1.0)
 
     fid = bld.new_block(2 * r)
@@ -335,23 +320,17 @@ def _hmin_smooth_sdp(rho: np.ndarray, da: int, db: int, eps: float,
         # Compressed corner sees only V^dag rho' V, so positivity of rho'
         # needs its own block.
         bld.add_const(fid, big)
-        for p, entries in _herm_param_basis(rhop):
-            base = np.zeros((d, d), dtype=complex)
-            for i, j, v in entries:
-                base[i, j] += v
-            _place_dense(bld, fid, p, vee.conj().T @ base @ vee, at=(r, r))
+        _place_corner(bld, fid, rhop, vee)
         psd = bld.new_block(d)
         bld.add_herm(psd, rhop)
 
     cap = bld.new_block(1)
     bld.add_const(cap, np.array([[1.0]]))
-    for p, w in rhop.trace_real_coeffs():
-        bld.add_param_term(cap, p, _scalar_entry(-w))
+    bld.add_param_term(cap, *_trace_row(rhop, -1.0))
 
     req = bld.new_block(1)
     bld.add_const(req, np.array([[-root]]))
-    for p, w in x.trace_real_coeffs():
-        bld.add_param_term(req, p, _scalar_entry(w))
+    bld.add_param_term(req, *_trace_row(x, 1.0))
 
     if subnormalized:
         y = bld.real_var("y_gen")
@@ -359,9 +338,7 @@ def _hmin_smooth_sdp(rho: np.ndarray, da: int, db: int, eps: float,
         gen = bld.new_block(2)
         bld.add_const(gen, np.array([[1.0 - mass, 0.0], [0.0, 1.0]]))
         bld.add_scalar(gen, y, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        for p, w in rhop.trace_real_coeffs():
-            bld.add_param_term(gen, p, sp.coo_matrix(
-                ([-w], ([1], [1])), shape=(2, 2)))
+        bld.add_param_term(gen, *_trace_row(rhop, -1.0), at=(1, 1))
 
     bld.minimize(sig.trace_real_coeffs())
     sol = _solved(bld.build(), tolerances)

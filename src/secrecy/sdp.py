@@ -29,6 +29,13 @@ this package).  The builder records each placement as triplets tagged by
 parameter; `build` maps them onto the standard form above (A_k = -F_k,
 b_k = -c_k, C = F_0) and validates all rows in one vectorised pass.
 `compile` embeds the triplets into the real constraint matrix in one pass.
+
+A linear image of a Hermitian variable is placed as one stack: `herm_basis`
+gives the unit contribution of each real parameter of a d x d Hermitian
+matrix, in `VarRef.param` order, the caller maps that (k, d, d) stack by
+batched matrix products, and `LmiBuilder.add_param_term` places image k for
+parameter k in one call.  `herm_equality_rows` states a Hermitian matrix
+equality X = T as real equality rows over the same basis.
 """
 
 from __future__ import annotations
@@ -661,6 +668,39 @@ def check_feasibility(problem: SdpProblem,
 # LMI front end
 # ---------------------------------------------------------------------------
 
+def herm_basis(d: int, ks=None) -> np.ndarray:
+    """Unit contributions of the real parameters of a d x d Hermitian
+    variable: image k of the (len(ks), d, d) stack is what parameter ks[k]
+    adds, in `VarRef.param` order (all d*d parameters by default).  The
+    diagonal comes first, then one (real, imaginary) pair per entry i < j in
+    row-major order: E_ij + E_ji and i E_ij - i E_ji."""
+    i, j = np.triu_indices(d, 1)
+    rows = np.concatenate([np.arange(d), np.repeat(i, 2)])
+    cols = np.concatenate([np.arange(d), np.repeat(j, 2)])
+    vals = np.concatenate([np.ones(d), np.tile([1.0, 1j], len(i))])
+    ks = np.arange(d * d) if ks is None else np.asarray(ks)
+    out = np.zeros((len(ks), d, d), dtype=complex)
+    n = np.arange(len(ks))
+    out[n, cols[ks], rows[ks]] = vals[ks].conj()
+    out[n, rows[ks], cols[ks]] = vals[ks]
+    return out
+
+
+def herm_equality_rows(target: np.ndarray):
+    """Yield (E, rhs) with <E, X> = rhs for every row iff the Hermitian X
+    equals target: per entry p <= q in row-major order, (E_pp, Re T_pp) on
+    the diagonal, else (E_pq + E_qp, 2 Re T_pq) and (i E_pq - i E_qp,
+    2 Im T_pq)."""
+    d = target.shape[0]
+    basis = herm_basis(d)
+    pairs = iter(basis[d:])
+    for p in range(d):
+        yield basis[p], float(np.real(target[p, p]))
+        for q in range(p + 1, d):
+            yield next(pairs), 2.0 * float(np.real(target[p, q]))
+            yield next(pairs), 2.0 * float(np.imag(target[p, q]))
+
+
 @dataclass
 class VarRef:
     name: str
@@ -687,6 +727,11 @@ class VarRef:
         tag, i, j = key
         return self.offset + 2 * (i * c + j) + (0 if tag == "re" else 1)
 
+    @property
+    def params(self) -> np.ndarray:
+        """All parameter indices of the variable, in `param` order."""
+        return np.arange(self.offset, self.offset + self.nparams)
+
     def trace_real_coeffs(self) -> list[tuple[int, float]]:
         """Parameter indices and weights so that sum = Re tr(value)."""
         if self.kind == "real":
@@ -702,9 +747,11 @@ class LmiBuilder:
 
     Variables are real scalars, Hermitian matrices, or general complex
     matrices, each flattened into real parameters y_k.  Placements add the
-    variable (or an arbitrary per-parameter matrix) into LMI blocks; the
-    build step maps everything onto the primal-standard-form solver and the
-    optimal y is read back from the dual multipliers.
+    variable into LMI blocks, or (`add_param_term`) a stack of per-parameter
+    images F_k, typically a `herm_basis` stack mapped by batched matrix
+    products, all in one call; the build step maps everything onto the
+    primal-standard-form solver and the optimal y is read back from the dual
+    multipliers.
     """
 
     def __init__(self):
@@ -794,10 +841,18 @@ class LmiBuilder:
         i, j = np.indices(mat.shape)
         self._place(blk, var.offset, at[0] + i, at[1] + j, mat)
 
-    def add_param_term(self, blk: int, param: int, mat) -> None:
-        """Raw placement: parameter contributes the given Hermitian matrix."""
-        coo = sp.coo_matrix(mat)
-        self._place(blk, param, coo.row, coo.col, coo.data)
+    def add_param_term(self, blk: int, params, images,
+                       at: tuple[int, int] = (0, 0)) -> None:
+        """Raw placement: parameter params[k] contributes images[k], a
+        (k, r, c) stack, at offset `at`; one index with one matrix also
+        works.  `build` checks that each parameter's total contribution to
+        a block is Hermitian."""
+        images = np.asarray(images, dtype=complex)
+        images = images.reshape((-1,) + images.shape[-2:])
+        rows, cols = images.shape[1:]
+        self._place(blk, np.reshape(params, (-1, 1, 1)),
+                    at[0] + np.arange(rows)[:, None], at[1] + np.arange(cols),
+                    images)
 
     # -- objective and build -----------------------------------------------
     def minimize(self, coeffs: Sequence[tuple[int, float]]) -> None:

@@ -35,9 +35,9 @@ import math
 import numpy as np
 
 from .quantum import DensityOperator, ValidationError, purify
-from .sdp import LmiBuilder, SdpTolerances
-from .entropy import (EntropyQuery, _EPS_COLLAPSE, _herm_param_basis,
-                      _place_dense, _scalar_entry, _solved, _support_factor,
+from .sdp import LmiBuilder, SdpTolerances, herm_basis
+from .entropy import (EntropyQuery, _EPS_COLLAPSE, _hmin_program,
+                      _place_corner, _solved, _support_factor, _trace_row,
                       h_max_smooth, h_min_smooth)
 
 __all__ = ["SymmetricBlocks", "h_min_smooth_power", "h_max_smooth_power"]
@@ -137,7 +137,8 @@ class SymmetricBlocks:
         return [ir["dim"] for ir in self.irreps]
 
     def compress(self, full: np.ndarray) -> list[np.ndarray]:
-        """Blocks of an invariant operator (one per stored irrep)."""
+        """Blocks of an invariant operator (one per stored irrep); a stack
+        of operators gives a stack of blocks per irrep."""
         return [ir["w"].conj().T @ full @ ir["w"] for ir in self.irreps]
 
     def reconstruct(self, blocks: list[np.ndarray]) -> np.ndarray:
@@ -150,13 +151,15 @@ class SymmetricBlocks:
 
 def _interleave_conditioner(sig: np.ndarray, da: int, db: int,
                             n: int) -> np.ndarray:
-    """Lift sigma on B^n to 1_{A^n} (x) sigma in per-copy (AB)^n ordering."""
+    """Lift a stack of sigma on B^n to 1_{A^n} (x) sigma in per-copy (AB)^n
+    ordering."""
     big = np.kron(np.eye(da ** n), sig)
     dims = [da] * n + [db] * n
     order = [k for pair in ((i, n + i) for i in range(n)) for k in pair]
-    axes = order + [2 * n + k for k in order]
+    axes = [0] + [1 + k for k in order] + [1 + 2 * n + k for k in order]
     size = (da * db) ** n
-    return big.reshape(dims + dims).transpose(axes).reshape(size, size)
+    return big.reshape([len(sig)] + dims + dims).transpose(axes) \
+        .reshape(len(sig), size, size)
 
 
 def _power_matrix(rho: np.ndarray, n: int) -> np.ndarray:
@@ -180,48 +183,23 @@ def _exact_power_value(rho: np.ndarray, da: int, db: int, n: int,
     """H_min(A^n|B^n) of rho^(x)n through the invariant-block program."""
     sab = SymmetricBlocks(da * db, n)
     sb = SymmetricBlocks(db, n)
-    rblocks = sab.compress(_power_matrix(rho, n))
-    sig_maps = _conditioner_maps(sab, sb, da, db, n)
-
-    bld = LmiBuilder()
-    svars = [bld.herm_var(f"S_{ir['name']}", ir["mult"]) for ir in sb.irreps]
-    obj = []
-    for ir, var in zip(sb.irreps, svars):
-        obj.extend((p, float(ir["dim"]) * wgt)
-                   for p, wgt in var.trace_real_coeffs())
-    for lam, ir in enumerate(sab.irreps):
-        blk = bld.new_block(ir["mult"])
-        bld.add_const(blk, -rblocks[lam])
-        for var, maps in zip(svars, sig_maps):
-            for p, entries in _herm_param_basis(var):
-                _place_dense(bld, blk, p, maps[_basis_key(entries)][lam])
-    bld.minimize(obj)
-    sol = _solved(bld.build(), tolerances)
-    return -math.log2(sol.value)
-
-
-def _basis_key(entries) -> tuple:
-    return tuple((i, j, complex(v)) for i, j, v in entries)
+    program = _hmin_program(sab.compress(_power_matrix(rho, n)),
+                            _conditioner_maps(sab, sb, da, db, n), sb.weights)
+    return -math.log2(_solved(program, tolerances).value)
 
 
 def _conditioner_maps(sab: SymmetricBlocks, sb: SymmetricBlocks,
-                      da: int, db: int, n: int) -> list[dict]:
-    """Per sigma-block-parameter: its lift compressed into every AB block."""
+                      da: int, db: int, n: int) -> list[list[np.ndarray]]:
+    """Per sigma irrep mu: the herm_basis stack of its block parameters,
+    lifted to 1_{A^n} (x) sigma and compressed into every AB irrep block
+    (out[mu][lam] has shape (mult_mu^2, mult_lam, mult_lam))."""
     out = []
     for ir in sb.irreps:
-        m = ir["mult"]
-        maps: dict = {}
-        ref = LmiBuilder().herm_var("tmp", m)
-        for _, entries in _herm_param_basis(ref):
-            basis = np.zeros((m, m), dtype=complex)
-            for i, j, v in entries:
-                basis[i, j] += v
-            full = np.zeros((sb.full_dim, sb.full_dim), dtype=complex)
-            for c in ir["isoms"]:
-                full += c @ basis @ c.conj().T
-            lifted = _interleave_conditioner(full, da, db, n)
-            maps[_basis_key(entries)] = sab.compress(lifted)
-        out.append(maps)
+        basis = herm_basis(ir["mult"])
+        full = np.zeros((len(basis), sb.full_dim, sb.full_dim), dtype=complex)
+        for c in ir["isoms"]:
+            full += c @ basis @ c.conj().T
+        out.append(sab.compress(_interleave_conditioner(full, da, db, n)))
     return out
 
 
@@ -241,13 +219,12 @@ def _smooth_power_value(rho: np.ndarray, da: int, db: int, n: int, eps: float,
     svars = [bld.herm_var(f"S_{ir['name']}", ir["mult"]) for ir in sb.irreps]
     tvars = [bld.herm_var(f"T_{ir['name']}", ir["mult"]) for ir in sab.irreps]
 
-    req_terms: list[tuple[int, float]] = []
+    xs = []
     for lam, ir in enumerate(sab.irreps):
         mult, wgt = ir["mult"], float(ir["dim"])
         dom = bld.new_block(mult)
         for var, maps in zip(svars, sig_maps):
-            for p, entries in _herm_param_basis(var):
-                _place_dense(bld, dom, p, maps[_basis_key(entries)][lam])
+            bld.add_param_term(dom, var.params, maps[lam])
         bld.add_herm(dom, tvars[lam], coeff=-1.0)
 
         psd = bld.new_block(mult)
@@ -261,23 +238,18 @@ def _smooth_power_value(rho: np.ndarray, da: int, db: int, n: int, eps: float,
         fid = bld.new_block(2 * r)
         bld.add_const(fid, big)
         bld.add_cplx(fid, x, at=(0, r))
-        for p, entries in _herm_param_basis(tvars[lam]):
-            basis = np.zeros((mult, mult), dtype=complex)
-            for i, j, v in entries:
-                basis[i, j] += v
-            _place_dense(bld, fid, p, vee.conj().T @ basis @ vee, at=(r, r))
-        req_terms.extend((p, wgt * w) for p, w in x.trace_real_coeffs())
+        _place_corner(bld, fid, tvars[lam], vee)
+        xs.append((x, wgt))
 
     cap = bld.new_block(1)
     bld.add_const(cap, np.array([[1.0]]))
     for ir, var in zip(sab.irreps, tvars):
-        for p, w in var.trace_real_coeffs():
-            bld.add_param_term(cap, p, _scalar_entry(-float(ir["dim"]) * w))
+        bld.add_param_term(cap, *_trace_row(var, -float(ir["dim"])))
 
     req = bld.new_block(1)
     bld.add_const(req, np.array([[-root]]))
-    for p, w in req_terms:
-        bld.add_param_term(req, p, _scalar_entry(w))
+    for x, wgt in xs:
+        bld.add_param_term(req, *_trace_row(x, wgt))
 
     obj = []
     for ir, var in zip(sb.irreps, svars):

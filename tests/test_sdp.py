@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from oracles import positive_part_trace, rand_herm, strictly_feasible_sdp
 from secrecy.sdp import (
     LmiBuilder, SdpError, SdpProblem, SdpStatus, SdpTolerances,
-    check_feasibility, solve,
+    check_feasibility, herm_basis, solve,
 )
 
 
@@ -247,6 +247,11 @@ def test_builder_compile_and_scaling_match_loop_reference():
     mat = rand_herm(2, rng)
     lb.add_param_term(1, t.offset, mat)
     ref[t.offset][1] += mat
+    params = np.array([h.param("diag", 1), t.offset, x.param("im", 1, 0)])
+    stack = np.array([rand_herm(2, rng) for _ in params])
+    lb.add_param_term(0, params, stack, at=(1, 1))   # one stacked placement
+    for k, img in zip(params, stack):
+        ref[k][0][1:, 1:] += img
     obj = dict([(t.offset, 1.0)] + h.trace_real_coeffs())
     lb.minimize(obj.items())
 
@@ -271,6 +276,20 @@ def test_builder_compile_and_scaling_match_loop_reference():
     assert np.array_equal(row_scale, norms)
     assert np.array_equal(got.A.toarray(),
                           a.toarray() * (1.0 / row_scale)[:, None])
+
+
+def test_herm_basis_follows_param_order():
+    for d in range(1, 5):
+        var = LmiBuilder().herm_var("H", d)
+        want = np.zeros((d * d, d, d), dtype=complex)
+        for i in range(d):
+            want[var.param("diag", i), i, i] = 1.0
+            for j in range(i + 1, d):
+                want[var.param("re", i, j), [i, j], [j, i]] = 1.0
+                want[var.param("im", i, j), [i, j], [j, i]] = [1j, -1j]
+        assert np.array_equal(herm_basis(d), want)
+        ks = np.arange(d * d)[::-2]
+        assert np.array_equal(herm_basis(d, ks), want[ks])
 
 
 def test_tolerances_respected():

@@ -8,8 +8,9 @@ import pytest
 from secrecy.quantum import DensityOperator, ValidationError, random_density
 from secrecy.entropy import (EntropyQuery, aep_bounds, h_min, h_min_smooth,
                              h_max_smooth)
-from secrecy.symmetry import (SymmetricBlocks, _perm_unitary,
-                              h_max_smooth_power, h_min_smooth_power)
+from secrecy.symmetry import (SymmetricBlocks, _conditioner_maps,
+                              _perm_unitary, h_max_smooth_power,
+                              h_min_smooth_power)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,30 @@ class TestBlockStructure:
             weighted = sum(w * np.trace(b).real
                            for w, b in zip(sb.weights, blocks))
             assert weighted == pytest.approx(np.trace(inv).real, abs=1e-9)
+
+    def test_conditioner_stacks_compress_the_lift(self, rng):
+        # qubit pairs only: _perm_unitary(2, 2n, .) reorders A^n B^n into
+        # (AB)^n, moving A_i to slot 2i and B_i to slot 2i + 1
+        for n in (2, 3):
+            sab, sb = SymmetricBlocks(4, n), SymmetricBlocks(2, n)
+            maps = _conditioner_maps(sab, sb, 2, 2, n)
+            blocks, params = [], []
+            for ir in sb.irreps:
+                m = ir["mult"]
+                s = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+                s = s + s.conj().T
+                i, j = np.triu_indices(m, 1)
+                params.append(np.concatenate(
+                    [np.diag(s).real, np.stack([s[i, j].real, s[i, j].imag],
+                                               axis=1).ravel()]))
+                blocks.append(s)
+            perm = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+            u = _perm_unitary(2, 2 * n, perm)
+            lift = u @ np.kron(np.eye(2 ** n), sb.reconstruct(blocks)) @ u.T
+            for lam, want in enumerate(sab.compress(lift)):
+                got = sum(np.tensordot(p, mu_maps[lam], axes=1)
+                          for p, mu_maps in zip(params, maps))
+                assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_invariant_psd_iff_blocks_psd(self, rng):
         sb = SymmetricBlocks(2, 3)
