@@ -43,11 +43,17 @@ def main():
 
     print("\nsmoothing monotonicity on a random two-qubit state:")
     rho = random_density((2, 2), rng, rank=3)
+    rows = []
     for eps in (0.0, 0.05, 0.1, 0.2):
         lo = h_min_smooth(EntropyQuery(rho, (0,), (1,), eps))
         hi = h_max_smooth(EntropyQuery(rho, (0,), (1,), eps))
         print(f"  eps={eps:<5.2f}  H_min={lo:+.6f}  H_max={hi:+.6f}")
-    print("  (H_min rises, H_max falls, and they bracket the spectrum)")
+        rows.append((lo, hi))
+    for (lo0, hi0), (lo1, hi1) in zip(rows, rows[1:]):
+        if lo1 < lo0 - 1e-6 or hi1 > hi0 + 1e-6:
+            raise SystemExit("smoothing is not monotone in eps")
+    print("  (H_min^eps is non-decreasing and H_max^eps non-increasing in "
+          "eps)")
 
 
 if __name__ == "__main__":

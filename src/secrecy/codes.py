@@ -16,7 +16,8 @@ measured in purified distance against the ideal objects:
 semidefinite programming, ``nogo_mixture_code`` builds the constant-biased
 codes that witness the sharpness of the converse region, and
 ``brute_force_M`` searches the encoders of desk-scale instances exhaustively
-for the largest admissible message count.
+for the largest admissible message count; closed-form bounds that hold for
+every decoder reject most candidates before any semidefinite program.
 
 Block sizes grow as ``M * (dim_B * dim_E)**n``; a guard raises once that
 exceeds the desk budget, adjustable through the ``SECRECY_BUDGET_DIM``
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import CqqWiretapChannel
-from .entropy import _support_factor, _trace_row
+from .entropy import _RANK_CUTOFF, _support_factor, _trace_row
 from .quantum import DensityOperator, ValidationError, fidelity
 from .sdp import (LmiBuilder, SdpError, SdpProblem, SdpStatus, SdpTolerances,
                   herm_equality_rows, solve)
@@ -64,6 +65,10 @@ _DEFAULT_BUDGET = 64
 _ROW_TOL = 1e-9
 
 _POVM_TOL = 1e-8
+
+# a search screen rejects only beyond this distance from a target, which
+# covers the semidefinite path's own error
+_SCREEN_MARGIN = 1e-6
 
 
 def _budget() -> int:
@@ -202,6 +207,7 @@ def channel_string_state(channel: CqqWiretapChannel,
 
 
 def _check_compatible(code: WiretapCode, channel: CqqWiretapChannel) -> None:
+    """Alphabet and decoder shape match the channel; blocks fit the budget."""
     if code.alphabet_size != channel.size:
         raise ValidationError(
             f"code alphabet {code.alphabet_size} != channel alphabet "
@@ -212,9 +218,6 @@ def _check_compatible(code: WiretapCode, channel: CqqWiretapChannel) -> None:
             raise ValidationError(
                 f"decoder acts on dimension {code.decoder[0].shape[0]}, "
                 f"receiver block has {d}")
-
-
-def _check_budget(code: WiretapCode, channel: CqqWiretapChannel) -> None:
     load = code.m * (channel.dim_b * channel.dim_e) ** code.n
     cap = _budget()
     if load > cap:
@@ -223,27 +226,37 @@ def _check_budget(code: WiretapCode, channel: CqqWiretapChannel) -> None:
             f"(raise {BUDGET_ENV} to override)")
 
 
-def encoder_output_states(code: WiretapCode,
-                          channel: CqqWiretapChannel
-                          ) -> list[DensityOperator]:
-    """Per-message averaged block states on (B^n, E^n)."""
-    _check_compatible(code, channel)
-    _check_budget(code, channel)
-    strings = all_strings(code.n, code.alphabet_size)
-    cache = [channel_string_state(channel, xs) for xs in strings]
+def _string_states(channel: CqqWiretapChannel, n: int) -> list:
+    return [channel_string_state(channel, xs)
+            for xs in all_strings(n, channel.size)]
+
+
+def _mix(encoder: np.ndarray, cache: list) -> list[DensityOperator]:
+    """Per-message averages of the string states (``_string_states``)."""
     dims = cache[0].dims
     out = []
-    for u in range(code.m):
+    for row in encoder:
         mat = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
-        for k, w in enumerate(code.encoder[u]):
+        for k, w in enumerate(row):
             if w > 0.0:
                 mat += w * cache[k].mat
         out.append(DensityOperator(mat, dims, validate=False))
     return out
 
 
-def _trivial_decoder(code: WiretapCode, channel: CqqWiretapChannel
-                     ) -> tuple[np.ndarray, ...]:
+def encoder_output_states(code: WiretapCode,
+                          channel: CqqWiretapChannel
+                          ) -> list[DensityOperator]:
+    """Per-message averaged block states on (B^n, E^n)."""
+    _check_compatible(code, channel)
+    return _mix(code.encoder, _string_states(channel, code.n))
+
+
+def _decoder(code: WiretapCode, channel: CqqWiretapChannel
+             ) -> tuple[np.ndarray, ...]:
+    """The code's decoder; the identity for a decoder-less single message."""
+    if code.decoder is not None:
+        return code.decoder
     if code.m != 1:
         raise ValidationError(
             "code has no decoder; attach one or use optimal_decoder")
@@ -259,9 +272,7 @@ def joint_state(code: WiretapCode,
     trivial always-correct decoder.
     """
     _check_compatible(code, channel)
-    _check_budget(code, channel)
-    povm = code.decoder if code.decoder is not None \
-        else _trivial_decoder(code, channel)
+    povm = _decoder(code, channel)
     states = encoder_output_states(code, channel)
     dbn = channel.dim_b ** code.n
     den = channel.dim_e ** code.n
@@ -280,9 +291,7 @@ def decode_distribution(code: WiretapCode,
                         channel: CqqWiretapChannel) -> np.ndarray:
     """Joint distribution P(u, uhat) of sent and decoded messages."""
     _check_compatible(code, channel)
-    _check_budget(code, channel)
-    povm = code.decoder if code.decoder is not None \
-        else _trivial_decoder(code, channel)
+    povm = _decoder(code, channel)
     states = encoder_output_states(code, channel)
     return _decode_distribution([s.partial_trace([0]).mat for s in states],
                                 povm)
@@ -388,6 +397,12 @@ def _privacy_optimized(eve_states: list[np.ndarray],
     return math.sqrt(max(0.0, 1.0 - f * f))
 
 
+def _check_mode(privacy_mode: str) -> None:
+    if privacy_mode not in ("optimized", "fixed"):
+        raise ValidationError(
+            f"privacy_mode must be 'optimized' or 'fixed', got {privacy_mode!r}")
+
+
 def evaluate_code(code: WiretapCode, channel: CqqWiretapChannel,
                   privacy_mode: str = "optimized",
                   tolerances: SdpTolerances | None = None) -> CodePerformance:
@@ -398,15 +413,12 @@ def evaluate_code(code: WiretapCode, channel: CqqWiretapChannel,
     eavesdropper state; ``'optimized'`` (default, never larger) against the
     best uncorrelated reference.
     """
-    if privacy_mode not in ("optimized", "fixed"):
-        raise ValidationError(
-            f"privacy_mode must be 'optimized' or 'fixed', got {privacy_mode!r}")
+    _check_mode(privacy_mode)
     states = encoder_output_states(code, channel)
     bob = [s.partial_trace([0]).mat for s in states]
     if code.decoder is None and code.m > 1:
         code = code.with_decoder(_synthesize(bob, tolerances)[0])
-    p = _decode_distribution(bob, code.decoder if code.decoder is not None
-                             else _trivial_decoder(code, channel))
+    p = _decode_distribution(bob, _decoder(code, channel))
     eps_star = _transmission_error(p)
     eve = [s.partial_trace([1]).mat for s in states]
     if privacy_mode == "fixed":
@@ -578,6 +590,40 @@ def _is_onehot(row: tuple[float, ...]) -> bool:
     return max(row) == 1.0
 
 
+def _success_bound(bob: list[np.ndarray]) -> float:
+    """min(1, d/M, sqrt(P_PGM)) >= the success of every decoder (Barnum &
+    Knill, J. Math. Phys. 43, 2097, 2002), where the pretty-good measurement
+    succeeds with P_PGM = sum_u ||S^(-1/4) rho_u S^(-1/4)||_2^2 / M^2 for
+    the average state S.  Inverting S only above the rank cutoff lowers
+    that sum by at most 2 sum sqrt(lambda) over the cut eigenvalues, which
+    is added back."""
+    m, d = len(bob), bob[0].shape[0]
+    vals, vecs = np.linalg.eigh(sum(bob) / m)
+    keep = vals > _RANK_CUTOFF * max(float(vals[-1]), _RANK_CUTOFF)
+    r = vecs[:, keep] * vals[keep] ** -0.25
+    pgm = sum(float(np.sum(np.abs(r.conj().T @ rho @ r) ** 2))
+              for rho in bob) / (m * m)
+    pgm += 2.0 * float(np.sum(np.sqrt(np.clip(vals[~keep], 0.0, None))))
+    return min(1.0, d / m, math.sqrt(pgm))
+
+
+def _privacy_bound(eve: list[np.ndarray]) -> float:
+    """Lower bound on delta* for every product reference sigma, from
+    F(rho_u, sigma) <= sqrt(tr Pi_u sigma) + sqrt(mass rho_u loses to its
+    support cut Pi_u), whose first term averages to at most
+    sqrt(lambda_max(mean Pi_u))."""
+    if _identical_leakage(eve):
+        return 0.0
+    projs, lost = [], 0.0
+    for rho in eve:
+        diag, vecs = _support_factor(rho)
+        projs.append(vecs @ vecs.conj().T)
+        lost = max(lost, float(np.real(np.trace(rho) - np.trace(diag))))
+    f = math.sqrt(max(0.0, np.linalg.eigvalsh(sum(projs) / len(eve))[-1])) \
+        + math.sqrt(lost)
+    return math.sqrt(max(0.0, 1.0 - min(1.0, f) ** 2))
+
+
 def brute_force_M(channel: CqqWiretapChannel, n: int, eps: float,
                   delta: float, config: SearchConfig | None = None
                   ) -> tuple[int, WiretapCode | None]:
@@ -586,41 +632,51 @@ def brute_force_M(channel: CqqWiretapChannel, n: int, eps: float,
     code.
 
     Deterministic encoders are enumerated as codeword multisets; stochastic
-    encoders on a probability grid are added on top.  Every candidate is
-    completed with its average-success-maximizing decoder before
-    evaluation; whether a decoder minimizing eps* instead would admit a
-    larger M is not checked.  Desk scale only: the joint-state budget guard
-    applies per candidate.
+    encoders on a probability grid are added on top.  A candidate is first
+    screened by closed-form lower bounds on eps* and delta* that hold for
+    every decoder and product reference (``_success_bound``,
+    ``_privacy_bound``), and rejected without any semidefinite program once
+    one exceeds its target by a fixed margin.  The others are completed
+    with their average-success-maximizing decoder and evaluated exactly;
+    whether a decoder minimizing eps* would admit one of them is not
+    checked.  Desk scale only: the budget guard applies per candidate.
     """
     cfg = config or SearchConfig()
-    if cfg.m_max < 1:
-        raise ValidationError("search needs m_max >= 1")
+    if cfg.m_max < 1 or cfg.stochastic_levels < 1:
+        raise ValidationError(
+            "search needs m_max >= 1 and stochastic_levels >= 1")
+    if not (0.0 <= eps <= 1.0 and 0.0 <= delta <= 1.0):
+        raise ValidationError("eps and delta must lie in [0, 1]")
+    _check_mode(cfg.privacy_mode)
     k = channel.size ** n
-    best_m, witness = 0, None
+    eps_cap = eps + cfg.tol + _SCREEN_MARGIN
+    delta_cap = delta + cfg.tol + _SCREEN_MARGIN
+    best_m, witness, cache = 0, None, None
     for m in range(1, cfg.m_max + 1):
-        candidates: list[np.ndarray] = []
-        for words in itertools.combinations_with_replacement(range(k), m):
-            enc = np.zeros((m, k))
-            for u, w in enumerate(words):
-                enc[u, w] = 1.0
-            candidates.append(enc)
+        candidates = [np.eye(k)[list(words)] for words in
+                      itertools.combinations_with_replacement(range(k), m)]
         if cfg.include_stochastic:
             rows = _grid_rows(k, cfg.stochastic_levels)
             for combo in itertools.combinations_with_replacement(rows, m):
                 if all(_is_onehot(r) for r in combo):
                     continue
                 candidates.append(np.array(combo))
-        found = None
         for enc in candidates:
-            povm = optimal_decoder(enc, channel, n)[0] if m > 1 \
-                else (np.eye(channel.dim_b ** n, dtype=complex),)
-            code = WiretapCode(m, n, channel.size, enc, decoder=povm)
+            code = WiretapCode(m, n, channel.size, enc)
+            _check_compatible(code, channel)
+            # built after the first guard: an over-budget search builds none
+            cache = cache or _string_states(channel, n)
+            states = _mix(enc, cache)
+            bob = [s.partial_trace([0]).mat for s in states]
+            if math.sqrt(max(0.0, 1.0 - _success_bound(bob))) > eps_cap \
+                    or _privacy_bound([s.partial_trace([1]).mat
+                                       for s in states]) > delta_cap:
+                continue
+            code = code.with_decoder(_synthesize(bob, None)[0])
             perf = evaluate_code(code, channel,
                                  privacy_mode=cfg.privacy_mode)
             if perf.eps_star <= eps + cfg.tol \
                     and perf.delta_star <= delta + cfg.tol:
-                found = code
+                best_m, witness = m, code
                 break
-        if found is not None:
-            best_m, witness = m, found
     return best_m, witness

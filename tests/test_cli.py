@@ -260,6 +260,15 @@ class TestCliDispatch:
         assert rc == 0
         assert ">= 1" in out
 
+    def test_code_search_targets_outside_unit_interval(self, capsys,
+                                                       copy_path):
+        for eps, delta in (("1.5", "0.1"), ("0", "-0.2")):
+            rc, out, err = _run(capsys, ["code-search", copy_path, "-n", "1",
+                                         "--eps", eps, "--delta", delta])
+            assert rc == 1
+            assert "[0, 1]" in err
+            assert "M(" not in out
+
     def test_converse_inside_region(self, capsys, bsc_path):
         rc, out, _ = _run(capsys, ["converse", bsc_path, "-n", "100",
                                    "--eps", "0.1", "--delta", "0.1"])

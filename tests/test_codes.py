@@ -1,19 +1,24 @@
 """Wiretap-code containers, state assembly, figures of merit, and search."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from secrecy.channels import (bsc_wiretap_channel, copy_eve_channel,
-                              noiseless_trivial_eve_channel)
+from secrecy import codes
+from secrecy.channels import (CqqWiretapChannel, bsc_wiretap_channel,
+                              copy_eve_channel, noiseless_trivial_eve_channel,
+                              random_degraded_channel, two_pure_state_channel)
 from secrecy.codes import (BUDGET_ENV, CodePerformance, SearchConfig,
                            WiretapCode, _discrimination_sdp, _grid_rows,
+                           _is_onehot, _privacy_bound, _success_bound,
                            all_strings, brute_force_M, channel_string_state,
                            decode_distribution, deterministic_code,
                            encoder_output_states, evaluate_code, joint_state,
                            nogo_mixture_code, optimal_decoder, string_index)
-from secrecy.quantum import ValidationError
+from secrecy.quantum import (DensityOperator, ValidationError, basis_state,
+                             product_state)
 
 RNG = np.random.default_rng(20260822)
 
@@ -332,3 +337,166 @@ class TestBruteForce:
         for row in rows3:
             assert sum(row) == pytest.approx(1.0, abs=1e-12)
             assert min(row) >= 0.0
+
+    def test_bad_inputs_rejected_before_the_loop(self):
+        ce = copy_eve_channel(2)
+        for eps, delta in ((-0.5, 1.7), (0.1, 1.5), (1.01, 0.0),
+                           (float("nan"), 0.1)):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                brute_force_M(ce, 1, eps, delta)
+        for levels in (0, -1):
+            with pytest.raises(ValidationError, match="stochastic_levels"):
+                brute_force_M(ce, 1, 0.1, 0.1,
+                              SearchConfig(stochastic_levels=levels))
+        # every candidate here is screened out, so no evaluation would
+        # ever see the mode
+        with pytest.raises(ValidationError, match="privacy_mode"):
+            brute_force_M(ce, 1, 0.0, 0.0, SearchConfig(privacy_mode="loose"))
+
+
+def _leaky_copy_channel(eta=1e-14):
+    """Copy channel whose eavesdropper state for letter 0 keeps a weight
+    eta below the support cut on the other letter."""
+    eve0 = DensityOperator(np.diag([1.0 - eta, eta]).astype(complex), (2,))
+    states = [product_state(basis_state(0, 2), eve0),
+              product_state(basis_state(1, 2), basis_state(1, 2))]
+    return CqqWiretapChannel(("0", "1"), 2, 2, states, name="leaky_copy")
+
+
+def _screen_channels():
+    return {
+        "copy": copy_eve_channel(2),
+        "noiseless": noiseless_trivial_eve_channel(2),
+        "bsc": bsc_wiretap_channel(0.1, 0.2),
+        "two_pure": two_pure_state_channel(0.3),
+        "random": random_degraded_channel(np.random.default_rng(7),
+                                          family="pure")[0],
+        "leaky_copy": _leaky_copy_channel(),
+    }
+
+
+def _screen_candidates(rng):
+    """Seeded encoders on two letters: deterministic and stochastic, M = 1..3,
+    plus the two-codeword identity code on which the leaky channel's
+    support cut matters."""
+    out = [np.eye(2)]
+    for m in (1, 2, 3):
+        out.append(np.eye(2)[rng.integers(0, 2, size=m)])
+        out.append(rng.dirichlet(np.ones(2), size=m))
+    return out
+
+
+class TestSearchScreens:
+    @pytest.mark.parametrize("name", sorted(_screen_channels()))
+    def test_screens_never_exceed_exact_figures(self, name):
+        ch = _screen_channels()[name]
+        rng = np.random.default_rng(20261018)
+        for enc in _screen_candidates(rng):
+            code = WiretapCode(enc.shape[0], 1, 2, enc)
+            states = encoder_output_states(code, ch)
+            bob = [s.partial_trace([0]).mat for s in states]
+            eve = [s.partial_trace([1]).mat for s in states]
+            succ_hi = _success_bound(bob)
+            delta_lo = _privacy_bound(eve)
+            for mode in ("optimized", "fixed"):
+                perf = evaluate_code(code, ch, mode)
+                assert perf.success_prob <= succ_hi + 1e-9
+                # eps* >= sqrt(1 - succ_hi), compared squared: the root
+                # lifts a rounding error of 1e-16 to 1e-8 near eps* = 0
+                assert 1.0 - succ_hi <= perf.eps_star ** 2 + 1e-9
+                assert delta_lo <= perf.delta_star + 1e-9
+
+    def test_bounds_are_tight_where_closed_forms_meet(self):
+        ce = copy_eve_channel(2)
+        states = encoder_output_states(WiretapCode(2, 1, 2, np.eye(2)), ce)
+        assert _privacy_bound([s.partial_trace([1]).mat for s in states]) \
+            == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert _success_bound([s.partial_trace([0]).mat for s in states]) \
+            == pytest.approx(1.0, abs=1e-12)
+        # three messages on a qubit receiver: at most 2/3 success
+        three = encoder_output_states(
+            WiretapCode(3, 1, 2, np.eye(2)[[0, 1, 1]]), ce)
+        assert _success_bound([s.partial_trace([0]).mat for s in three]) \
+            <= 2 / 3 + 1e-12
+
+
+def _reference_candidates(k, m, cfg):
+    """The search's candidate order: codeword multisets, then grid rows."""
+    for words in itertools.combinations_with_replacement(range(k), m):
+        yield np.eye(k)[list(words)]
+    if cfg.include_stochastic:
+        rows = _grid_rows(k, cfg.stochastic_levels)
+        for combo in itertools.combinations_with_replacement(rows, m):
+            if not all(_is_onehot(r) for r in combo):
+                yield np.array(combo)
+
+
+def _reference_search(channel, n, eps, delta, cfg):
+    """Unscreened search: every candidate decoded and evaluated exactly."""
+    best = (0, None)
+    for m in range(1, cfg.m_max + 1):
+        for enc in _reference_candidates(channel.size ** n, m, cfg):
+            povm, _ = optimal_decoder(enc, channel, n)
+            code = WiretapCode(m, n, channel.size, enc, decoder=povm)
+            perf = evaluate_code(code, channel, cfg.privacy_mode)
+            if perf.eps_star <= eps + cfg.tol \
+                    and perf.delta_star <= delta + cfg.tol:
+                best = (m, code)
+                break
+    return best
+
+
+class TestScreenedSearchPopulation:
+    @pytest.mark.parametrize("name,mode", [
+        ("copy", "optimized"), ("noiseless", "optimized"),
+        ("bsc", "optimized"), ("two_pure", "optimized"),
+        ("random", "fixed"), ("leaky_copy", "fixed")])
+    def test_matches_unscreened_reference(self, name, mode):
+        ch = _screen_channels()[name]
+        cfg = SearchConfig(m_max=3, privacy_mode=mode)
+        for eps, delta in ((0.0, 0.9), (0.1, 0.2), (0.5, 0.3)):
+            m, wit = brute_force_M(ch, 1, eps, delta, cfg)
+            m_ref, ref = _reference_search(ch, 1, eps, delta, cfg)
+            assert m == m_ref
+            if ref is None:
+                assert wit is None
+                continue
+            assert np.array_equal(wit.encoder, ref.encoder)
+            assert len(wit.decoder) == len(ref.decoder)
+            for e, e_ref in zip(wit.decoder, ref.decoder):
+                assert np.array_equal(e, e_ref)
+
+    def _counted(self, monkeypatch):
+        seen = []
+        real = codes.evaluate_code
+
+        def counting(code, *args, **kwargs):
+            seen.append(code.m)
+            return real(code, *args, **kwargs)
+        monkeypatch.setattr(codes, "evaluate_code", counting)
+        return seen
+
+    def test_undecided_candidate_reaches_evaluation(self, monkeypatch):
+        seen = self._counted(monkeypatch)
+        m, wit = brute_force_M(noiseless_trivial_eve_channel(2), 1, 0.0, 0.0,
+                               SearchConfig(m_max=2))
+        assert m == 2 and wit.m == 2
+        # the screens cannot decide the witness: it is evaluated exactly
+        assert seen.count(2) >= 1
+
+    def test_screened_candidates_skip_evaluation(self, monkeypatch):
+        seen = self._counted(monkeypatch)
+        m, _ = brute_force_M(copy_eve_channel(2), 1, 0.0, 0.1)
+        assert m == 1
+        # every candidate with two or more messages leaks at least 1/sqrt(2)
+        assert seen == [1]
+
+    def test_budget_guard_precedes_screens(self, monkeypatch):
+        # copy-eve blocks have size 4 per message; with budget 8 the guard
+        # fires at M = 3, where every candidate would be screened out
+        monkeypatch.setenv(BUDGET_ENV, "8")
+        with pytest.raises(ValidationError,
+                           match="joint block size 12 exceeds the desk "
+                                 "budget 8"):
+            brute_force_M(copy_eve_channel(2), 1, 0.0, 0.1,
+                          SearchConfig(m_max=4))
