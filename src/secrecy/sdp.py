@@ -348,9 +348,9 @@ def _schur(rc: _RealConic, scals: list[_Scal]) -> np.ndarray:
             c1 = min(c0 + rows_per, len(act))
             nc = c1 - c0
             t1 = rc.atall[j][c0 * d:c1 * d] @ w           # stacked U_k W
-            t2 = w @ t1.reshape(nc, d, d).transpose(1, 0, 2).reshape(d, nc * d)
-            g = t2.reshape(d, nc, d).transpose(1, 0, 2).reshape(nc, d * d)
-            contrib = rc.acol[j] @ g.T                     # (n_act, nc)
+            # laid out (a, c, k): the product is G^T, (d*d, nc), C-ordered
+            t2 = w @ t1.reshape(nc, d, d).transpose(1, 2, 0).reshape(d, d * nc)
+            contrib = rc.acol[j] @ t2.reshape(d * d, nc)   # (n_act, nc)
             big[np.ix_(act, act[c0:c1])] += contrib
     return _sym(big)
 
@@ -368,8 +368,8 @@ def _make_solver(big: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     tr = float(np.trace(big)) / max(1, big.shape[0])
     for jitter in (0.0, 1e-13 * tr, 1e-10 * tr, 1e-7 * tr):
         try:
-            cho = sla.cho_factor(big + jitter * np.eye(big.shape[0]),
-                                 lower=True, check_finite=False)
+            shifted = big + jitter * np.eye(big.shape[0]) if jitter else big
+            cho = sla.cho_factor(shifted, lower=True, check_finite=False)
             return lambda r: sla.cho_solve(cho, r, check_finite=False)
         except np.linalg.LinAlgError:
             continue

@@ -24,7 +24,8 @@ weight each block by the irrep dimension.
 entropies of rho^(x)n for n <= 3 through these blocks: the same program
 layout as the generic smoothing SDP, with every matrix constraint split into
 per-irrep blocks and fidelity handled blockwise on the support of each
-compressed rho^(x)n block.
+compressed rho^(x)n block.  An irrep where rho^(x)n has no weight keeps only
+its [dom] block, on sigma alone: its rho' block is 0 at an optimum.
 """
 
 from __future__ import annotations
@@ -208,16 +209,20 @@ def _smooth_power_value(rho: np.ndarray, da: int, db: int, n: int, eps: float,
     """H_min^eps(A^n|B^n) of rho^(x)n; same layout as the generic program,
     with [dom], rho' >= 0 and the fidelity certificate split into per-irrep
     blocks (fidelity of invariant operators is the irrep-dimension-weighted
-    sum of blockwise fidelities)."""
+    sum of blockwise fidelities).  Where rho^(x)n has no weight, T = 0 is
+    optimal (it only spends trace and tightens [dom]), so such an irrep has
+    no T, keeps only its [dom] block, on sigma alone, and no cap term."""
     sab = SymmetricBlocks(da * db, n)
     sb = SymmetricBlocks(db, n)
     rblocks = sab.compress(_power_matrix(rho, n))
     sig_maps = _conditioner_maps(sab, sb, da, db, n)
     root = math.sqrt(max(0.0, 1.0 - eps * eps))
+    factors = [_support_factor_or_none(blk) for blk in rblocks]
 
     bld = LmiBuilder()
     svars = [bld.herm_var(f"S_{ir['name']}", ir["mult"]) for ir in sb.irreps]
-    tvars = [bld.herm_var(f"T_{ir['name']}", ir["mult"]) for ir in sab.irreps]
+    tvars = [bld.herm_var(f"T_{ir['name']}", ir["mult"]) if fac[0] is not None
+             else None for ir, fac in zip(sab.irreps, factors)]
 
     xs = []
     for lam, ir in enumerate(sab.irreps):
@@ -225,14 +230,14 @@ def _smooth_power_value(rho: np.ndarray, da: int, db: int, n: int, eps: float,
         dom = bld.new_block(mult)
         for var, maps in zip(svars, sig_maps):
             bld.add_param_term(dom, var.params, maps[lam])
+        big, vee = factors[lam]
+        if big is None:
+            continue
         bld.add_herm(dom, tvars[lam], coeff=-1.0)
 
         psd = bld.new_block(mult)
         bld.add_herm(psd, tvars[lam])
 
-        big, vee = _support_factor_or_none(rblocks[lam])
-        if big is None:
-            continue
         r = big.shape[0]
         x = bld.cplx_var(f"X_{ir['name']}", r, r)
         fid = bld.new_block(2 * r)
@@ -244,7 +249,8 @@ def _smooth_power_value(rho: np.ndarray, da: int, db: int, n: int, eps: float,
     cap = bld.new_block(1)
     bld.add_const(cap, np.array([[1.0]]))
     for ir, var in zip(sab.irreps, tvars):
-        bld.add_param_term(cap, *_trace_row(var, -float(ir["dim"])))
+        if var is not None:
+            bld.add_param_term(cap, *_trace_row(var, -float(ir["dim"])))
 
     req = bld.new_block(1)
     bld.add_const(req, np.array([[-root]]))

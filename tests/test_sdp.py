@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from oracles import positive_part_trace, rand_herm, strictly_feasible_sdp
+from oracles import (positive_part_trace, rand_herm, rand_pd,
+                     strictly_feasible_sdp)
+from secrecy import sdp as sdp_mod
 from secrecy.sdp import (
     LmiBuilder, SdpError, SdpProblem, SdpStatus, SdpTolerances,
     check_feasibility, herm_basis, solve,
@@ -302,3 +304,33 @@ def test_tolerances_respected():
     assert loose.iterations <= tight.iterations
     relt = abs(tight.primal_value - tight.dual_value) / (1 + abs(tight.primal_value))
     assert relt <= 1e-9
+
+
+def test_schur_matches_dense_trace_formula(monkeypatch):
+    """Schur complement tr(A_i W A_k W) against dense products of the
+    compiled rows, with one assembly chunk and with chunks of a few rows."""
+    rng = np.random.default_rng(17)
+    dims = [3, 2, 1]
+    prob = SdpProblem(dims, [rand_herm(d, rng) for d in dims])
+    for i in range(7):
+        # block 1 is active on rows 0, 2, 4, 6 and block 2 on rows 1 and 4
+        touched = [0] + [1] * (i % 2 == 0) + [2] * (i in (1, 4))
+        prob.add_constraint({j: rand_herm(dims[j], rng) for j in touched},
+                            float(rng.normal()))
+    rc = prob.compile()
+    rc.scale()
+    assert not np.array_equal(rc.act[1], np.arange(rc.act[1][0],
+                                                   rc.act[1][-1] + 1))
+    scals = [sdp_mod._nt_block(rand_pd(d, rng).real, rand_pd(d, rng).real)
+             for d in rc.dims]
+    rows = [rc.unvec(rc.A[i].toarray().ravel()) for i in range(rc.m)]
+    want = np.array([[sum(np.trace(ai @ sc.W @ ak @ sc.W)
+                          for ai, ak, sc in zip(rows[i], rows[k], scals))
+                      for k in range(rc.m)] for i in range(rc.m)])
+    one_chunk = sdp_mod._schur(rc, scals)
+    # 36 doubles: blocks of real size 6, 4, 2 take 1, 2 and 9 rows a chunk,
+    # so block 0 spans seven chunks and block 1 two
+    monkeypatch.setattr(sdp_mod, "_SCHUR_CHUNK", 36)
+    chunked = sdp_mod._schur(rc, scals)
+    for got in (one_chunk, chunked):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from secrecy import sdp
 from secrecy.quantum import DensityOperator, ValidationError, random_density
+from secrecy.sdp import SdpStatus
 from secrecy.entropy import (EntropyQuery, aep_bounds, h_min, h_min_smooth,
                              h_max_smooth)
 from secrecy.symmetry import (SymmetricBlocks, _conditioner_maps,
@@ -100,18 +102,40 @@ class TestBlockStructure:
 
 class TestProgramEquivalence:
     def test_two_copies_match_generic_smoothing(self, rng):
-        rho = random_density((2, 2), rng, rank=2)
-        big = DensityOperator(np.kron(rho.mat, rho.mat), (2, 2, 2, 2))
-        pairs = [
-            (h_min_smooth_power(rho, 2, 0.3),
-             h_min_smooth(EntropyQuery(big, (0, 2), (1, 3), 0.3))),
-            (h_max_smooth_power(rho, 2, 0.3),
-             h_max_smooth(EntropyQuery(big, (0, 2), (1, 3), 0.3))),
-            (h_min_smooth_power(rho, 2, 0.0),
-             h_min(EntropyQuery(big, (0, 2), (1, 3)))),
-        ]
-        for sym, generic in pairs:
-            assert sym == pytest.approx(generic, abs=1e-6)
+        # rho (x) rho of the pure state is swap-symmetric: its antisymmetric
+        # irrep has no weight and keeps only its [dom] block
+        for rho in (random_density((2, 2), rng, rank=2),
+                    random_density((2, 2), np.random.default_rng(7), rank=1)):
+            big = DensityOperator(np.kron(rho.mat, rho.mat), (2, 2, 2, 2))
+            pairs = [
+                (h_min_smooth_power(rho, 2, 0.3),
+                 h_min_smooth(EntropyQuery(big, (0, 2), (1, 3), 0.3))),
+                (h_max_smooth_power(rho, 2, 0.3),
+                 h_max_smooth(EntropyQuery(big, (0, 2), (1, 3), 0.3))),
+                (h_min_smooth_power(rho, 2, 0.0),
+                 h_min(EntropyQuery(big, (0, 2), (1, 3)))),
+            ]
+            for sym, generic in pairs:
+                assert sym == pytest.approx(generic, abs=1e-6)
+
+    def test_zero_weight_irrep_solves_without_retry(self, monkeypatch):
+        # rank 2 at n = 3: no weight on the antisymmetric irrep; with its
+        # T variable kept, this state stalled and needed the relaxed retry
+        fixed = np.random.default_rng(15)
+        random_density((2, 2), fixed, rank=2)
+        rho = random_density((2, 2), fixed, rank=2)
+        solves = []
+
+        def counted(problem, tolerances=None):
+            sol = sdp_solve(problem, tolerances)
+            solves.append((problem.num_constraints, tolerances, sol.status))
+            return sol
+
+        sdp_solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", counted)
+        value = h_min_smooth_power(rho, 3, 0.25)
+        assert solves == [(860, None, SdpStatus.OPTIMAL)]
+        assert value >= 3 * h_min(EntropyQuery(rho, (0,), (1,))) - 1e-6
 
     def test_single_copy_delegates(self, rng):
         rho = random_density((2, 2), rng)
