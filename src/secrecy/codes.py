@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import CqqWiretapChannel
-from .entropy import _RANK_CUTOFF, _support_factor, _trace_row
+from .entropy import _RANK_CUTOFF, _support_factors, _trace_row
 from .quantum import DensityOperator, ValidationError, fidelity
 from .sdp import (LmiBuilder, SdpError, SdpProblem, SdpStatus, SdpTolerances,
                   herm_equality_rows, solve)
@@ -367,7 +367,7 @@ def _privacy_optimized(eve_states: list[np.ndarray],
     ref = bld.herm_var("sigma", d)
     obj: list[tuple[int, float]] = []
     for u, rho in enumerate(eve_states):
-        diag, vecs = _support_factor(rho)
+        diag, vecs = _support_factors([rho])[0]
         r = diag.shape[0]
         xu = bld.cplx_var(f"x{u}", r, d)
         blk = bld.new_block(r + d)
@@ -616,7 +616,7 @@ def _privacy_bound(eve: list[np.ndarray]) -> float:
         return 0.0
     projs, lost = [], 0.0
     for rho in eve:
-        diag, vecs = _support_factor(rho)
+        diag, vecs = _support_factors([rho])[0]
         projs.append(vecs @ vecs.conj().T)
         lost = max(lost, float(np.real(np.trace(rho) - np.trace(diag))))
     f = math.sqrt(max(0.0, np.linalg.eigvalsh(sum(projs) / len(eve))[-1])) \

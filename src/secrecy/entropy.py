@@ -15,31 +15,46 @@ All logarithms are base 2.  For a (possibly subnormalized) state rho on A x B:
 * ``aep_bounds`` -- explicit finite-n two-sided estimates for the smoothed
   entropies of n-fold product states, anchored at n*S(A|B).
 
-Smoothing program layout (single joint SDP, solved as one LMI):
+Smoothing program layout (`_smooth_program`, one joint SDP, solved as one
+LMI).  The state rho arrives as blocks R_lam with trace weights t_lam, the
+conditioner as maps L_mu with objective weights w_mu.  ``h_min_smooth`` and
+``h_max_smooth`` pass the one block rho, t = w = 1 and L(sigma) = 1_A (x)
+sigma; the tensor-power functions of `secrecy.symmetry` pass one block per
+irrep of S_n.  The exact program (`_hmin_program`) is the same without rho'.
 
-    variables   sigma  Hermitian d_B x d_B   (the conditioner certificate)
-                rho'   Hermitian d x d       (the smoothed state)
-                X      complex   d x d       (fidelity certificate)
-                y      real scalar           (only for subnormalized input)
-    blocks      [dom]   1_A (x) sigma - rho'            >= 0
-                [fid]   [[rho, X], [X^dag, rho']]       >= 0
-                [mass]  1 - tr rho'                     >= 0
-                [req]   Re tr X (+ y) - sqrt(1-eps^2)   >= 0
-                [gen]   [[1 - tr rho, y], [y, 1 - tr rho']] >= 0   (y path only)
-    objective   minimize tr sigma;  value = -log2(optimum).
+    variables   S_mu    Hermitian          (the conditioner certificates)
+                T_lam   Hermitian          (the smoothed state rho', per block)
+                X_lam   complex r x r      (fidelity certificate, per block)
+                y       real scalar        (only for subnormalized input)
+    per block   [dom]   sum_mu L_mu(S_mu)_lam - T_lam          >= 0
+                [fid]   [[R_lam, X_lam], [X_lam^dag, T_lam]]   >= 0
+                [psd]   T_lam                                  >= 0
+    then        [cap]   1 - sum_lam t_lam tr T_lam             >= 0
+                [req]   sum_lam t_lam Re tr X_lam (+ y) - sqrt(1-eps^2) >= 0
+                [gen]   [[1 - tr rho, y], [y, 1 - tr rho']]    >= 0  (y only)
+    objective   minimize sum_mu w_mu tr S_mu;  value = -log2(optimum).
+
+Variables come in the order S..., T..., X..., y, and each block brings
+[dom], [fid], [psd] in turn.  A block where rho has no weight has no T_lam
+or X_lam and keeps [dom] alone, on the S terms: T_lam = 0 is optimal there,
+since it only spends trace and tightens [dom].
 
 The [fid] block makes Re tr X a lower bound on the root fidelity
 F(rho, rho') = ||sqrt(rho) sqrt(rho')||_1, with equality attainable, and the
 [gen] block extends it to the generalized fidelity
 F(rho, rho') + sqrt((1 - tr rho)(1 - tr rho')) for subnormalized input.
-Positivity of rho' is implied by [fid] (principal submatrix), and positivity
-of sigma by [dom] (partial trace over A of the ordering).
+The fidelity of block-diagonal operators is the t-weighted sum of blockwise
+fidelities.  Positivity of sigma follows from [dom] (partial trace over A of
+the ordering).
 
-Fidelity blocks are written on the support of rho: with rho = V R V^dag
+Fidelity blocks are written on the support of R_lam: with R_lam = V R V^dag
 (R positive definite on the rank-r support, V an isometry),
-F(rho, Q) = F(R, V^dag Q V) exactly, so [fid] shrinks to size 2r and -- the
+F(R_lam, Q) = F(R, V^dag Q V) exactly, so [fid] shrinks to size 2r and -- the
 point -- its fixed diagonal corner R is full rank, which keeps the program
 strictly feasible even for pure or otherwise rank-deficient input states.
+The compressed corner sees only V^dag T_lam V, so positivity of T_lam needs
+[psd]; a full-rank block places R_lam and T_lam directly instead, and [fid]
+then implies T_lam >= 0.
 """
 
 from __future__ import annotations
@@ -174,18 +189,22 @@ def _place_corner(bld: LmiBuilder, blk: int, var: VarRef,
                            at=(r, r))
 
 
-def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support decomposition rho = V R V^dag with R diagonal positive definite."""
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    floor = _RANK_CUTOFF * max(float(vals[-1]), _RANK_CUTOFF)
-    keep = vals > floor
-    if not np.any(keep):
+def _support_factors(blocks: Sequence[np.ndarray]):
+    """Support decompositions B = V R V^dag, R diagonal positive definite,
+    of blocks with one eigenvalue floor, relative to their largest
+    eigenvalue; a block without weight gets r = 0."""
+    eigs = [np.linalg.eigh((b + b.conj().T) / 2) for b in blocks]
+    top = max(float(vals[-1]) for vals, _ in eigs)
+    floor = _RANK_CUTOFF * max(top, _RANK_CUTOFF)
+    out = [(np.diag(vals[vals > floor]).astype(complex), vecs[:, vals > floor])
+           for vals, vecs in eigs]
+    if not any(len(big) for big, _ in out):
         raise ValidationError("state has numerically empty support")
-    return np.diag(vals[keep]).astype(complex), vecs[:, keep]
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Exact entropies
+# Min-entropy programs
 # ---------------------------------------------------------------------------
 
 def _hmin_program(rblocks: Sequence[np.ndarray],
@@ -210,17 +229,105 @@ def _hmin_program(rblocks: Sequence[np.ndarray],
     return bld.build()
 
 
-def _hmin_exact(rho: np.ndarray, da: int, db: int,
-                tolerances: SdpTolerances | None):
-    program = _hmin_program([rho], [[_lifted_basis(da, db)]], [1])
-    sol = _solved(program, tolerances)
-    return -math.log2(sol.value), sol
+def _smooth_program(rblocks: Sequence[np.ndarray],
+                    stacks: Sequence[Sequence[np.ndarray]],
+                    sweights: Sequence[float], tweights: Sequence[float],
+                    eps: float):
+    """_hmin_program with R smoothed: the same objective over rho' = (T_lam)
+    within purified distance eps of rho = (R_lam), with T_lam in place of
+    R_lam in each block; traces and fidelities weight block lam by
+    tweights[lam].  See the module docstring for the layout."""
+    factors = _support_factors(rblocks)
+    mass = sum(w * float(np.trace(rb).real)
+               for w, rb in zip(tweights, rblocks))
+    ranks = [len(big) for big, _ in factors]
+    live = [lam for lam, r in enumerate(ranks) if r]
 
+    bld = LmiBuilder()
+    svars = [bld.herm_var(f"S_{mu}", math.isqrt(len(st[0])))
+             for mu, st in enumerate(stacks)]
+    tvars = {lam: bld.herm_var(f"T_{lam}", rblocks[lam].shape[0])
+             for lam in live}
+    xvars = {lam: bld.cplx_var(f"X_{lam}", ranks[lam], ranks[lam])
+             for lam in live}
+    for lam, rblock in enumerate(rblocks):
+        d = rblock.shape[0]
+        dom = bld.new_block(d)
+        for var, st in zip(svars, stacks):
+            bld.add_param_term(dom, var.params, st[lam])
+        if lam not in tvars:
+            continue
+        t = tvars[lam]
+        bld.add_herm(dom, t, coeff=-1.0)
+        big, vee = factors[lam]
+        r = ranks[lam]
+        fid = bld.new_block(2 * r)
+        bld.add_cplx(fid, xvars[lam], at=(0, r))
+        if r == d:
+            bld.add_const(fid, rblock)
+            bld.add_herm(fid, t, at=r)
+        else:
+            bld.add_const(fid, big)
+            _place_corner(bld, fid, t, vee)
+            psd = bld.new_block(d)
+            bld.add_herm(psd, t)
+
+    cap = bld.new_block(1)
+    bld.add_const(cap, np.array([[1.0]]))
+    for lam, t in tvars.items():
+        bld.add_param_term(cap, *_trace_row(t, -tweights[lam]))
+
+    req = bld.new_block(1)
+    bld.add_const(req, np.array([[-math.sqrt(max(0.0, 1.0 - eps * eps))]]))
+    for lam, x in xvars.items():
+        bld.add_param_term(req, *_trace_row(x, tweights[lam]))
+
+    if mass < 1.0 - 1e-12:
+        y = bld.real_var("y_gen")
+        bld.add_scalar(req, y, np.array([[1.0]]))
+        gen = bld.new_block(2)
+        bld.add_const(gen, np.array([[1.0 - mass, 0.0], [0.0, 1.0]]))
+        bld.add_scalar(gen, y, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for lam, t in tvars.items():
+            bld.add_param_term(gen, *_trace_row(t, -tweights[lam]),
+                               at=(1, 1))
+
+    bld.minimize([(p, float(w) * c) for var, w in zip(svars, sweights)
+                  for p, c in var.trace_real_coeffs()])
+    return bld.build()
+
+
+def _hmin_blocks(rblocks: Sequence[np.ndarray],
+                 stacks: Sequence[Sequence[np.ndarray]],
+                 sweights: Sequence[float], tweights: Sequence[float],
+                 eps: float, tolerances: SdpTolerances | None) -> float:
+    """-log2 of the optimum of the exact program, or of the smoothing
+    program once eps reaches _EPS_COLLAPSE."""
+    if eps < _EPS_COLLAPSE:
+        program = _hmin_program(rblocks, stacks, sweights)
+    else:
+        program = _smooth_program(rblocks, stacks, sweights, tweights, eps)
+    sol = _solved(program, tolerances)
+    if sol.value <= 0:
+        raise SdpError("nonpositive conditioner mass in min-entropy SDP")
+    return -math.log2(sol.value)
+
+
+def _hmin_generic(rho: np.ndarray, da: int, db: int, eps: float,
+                  tolerances: SdpTolerances | None) -> float:
+    """H_min^eps(A|B) of rho on A x B: the one-block programs."""
+    return _hmin_blocks([rho], [[_lifted_basis(da, db)]], [1], [1], eps,
+                        tolerances)
+
+
+# ---------------------------------------------------------------------------
+# Entropies
+# ---------------------------------------------------------------------------
 
 def _hmax_direct(rho: np.ndarray, da: int, db: int,
                  tolerances: SdpTolerances | None):
     """max 2 log2 F(rho, 1 (x) sigma) over tr sigma <= 1, on rho's support."""
-    big, vee = _support_factor(rho)
+    big, vee = _support_factors([rho])[0]
     r = big.shape[0]
     bld = LmiBuilder()
     x = bld.cplx_var("x", r, r)
@@ -251,7 +358,7 @@ def h_min(query: EntropyQuery,
     """Conditional min-entropy H_min(A|B) of the queried split."""
     _require_exact(query, "h_min")
     rho, da, db = query.reduced()
-    return _hmin_exact(rho, da, db, tolerances)[0]
+    return _hmin_generic(rho, da, db, 0.0, tolerances)
 
 
 def h_max(query: EntropyQuery, tolerances: SdpTolerances | None = None,
@@ -278,82 +385,14 @@ def _hmax_by_duality(rho: np.ndarray, da: int, db: int, eps: float,
     """-H_min^eps(A|C) on the A,C marginal of a purification of rho_AB."""
     psi = purify(DensityOperator(rho, (da, db), validate=False))
     rho_ac = psi.partial_trace([0, 2])
-    dc = rho_ac.dims[1]
-    if eps < _EPS_COLLAPSE:
-        val, _ = _hmin_exact(rho_ac.mat, da, dc, tolerances)
-    else:
-        val, _ = _hmin_smooth_sdp(rho_ac.mat, da, dc, eps, tolerances)
-    return -val
-
-
-# ---------------------------------------------------------------------------
-# Smoothed entropies
-# ---------------------------------------------------------------------------
-
-def _hmin_smooth_sdp(rho: np.ndarray, da: int, db: int, eps: float,
-                     tolerances: SdpTolerances | None):
-    """Joint smoothing program; see the module docstring for the layout."""
-    d = da * db
-    mass = float(np.trace(rho).real)
-    root = math.sqrt(max(0.0, 1.0 - eps * eps))
-    subnormalized = mass < 1.0 - 1e-12
-    big, vee = _support_factor(rho)
-    r = big.shape[0]
-
-    bld = LmiBuilder()
-    sig = bld.herm_var("sigma", db)
-    rhop = bld.herm_var("rho_prime", d)
-    x = bld.cplx_var("x", r, r)
-
-    dom = bld.new_block(d)
-    bld.add_param_term(dom, sig.params, _lifted_basis(da, db))
-    bld.add_herm(dom, rhop, coeff=-1.0)
-
-    fid = bld.new_block(2 * r)
-    bld.add_cplx(fid, x, at=(0, r))
-    if r == d:
-        # Full-rank input: place rho and rho' directly (same basis); the
-        # principal submatrix of [fid] then also enforces rho' >= 0.
-        bld.add_const(fid, rho)
-        bld.add_herm(fid, rhop, at=r)
-    else:
-        # Compressed corner sees only V^dag rho' V, so positivity of rho'
-        # needs its own block.
-        bld.add_const(fid, big)
-        _place_corner(bld, fid, rhop, vee)
-        psd = bld.new_block(d)
-        bld.add_herm(psd, rhop)
-
-    cap = bld.new_block(1)
-    bld.add_const(cap, np.array([[1.0]]))
-    bld.add_param_term(cap, *_trace_row(rhop, -1.0))
-
-    req = bld.new_block(1)
-    bld.add_const(req, np.array([[-root]]))
-    bld.add_param_term(req, *_trace_row(x, 1.0))
-
-    if subnormalized:
-        y = bld.real_var("y_gen")
-        bld.add_scalar(req, y, np.array([[1.0]]))
-        gen = bld.new_block(2)
-        bld.add_const(gen, np.array([[1.0 - mass, 0.0], [0.0, 1.0]]))
-        bld.add_scalar(gen, y, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        bld.add_param_term(gen, *_trace_row(rhop, -1.0), at=(1, 1))
-
-    bld.minimize(sig.trace_real_coeffs())
-    sol = _solved(bld.build(), tolerances)
-    if sol.value <= 0:
-        raise SdpError("nonpositive conditioner mass in smoothing SDP")
-    return -math.log2(sol.value), sol
+    return -_hmin_generic(rho_ac.mat, da, rho_ac.dims[1], eps, tolerances)
 
 
 def h_min_smooth(query: EntropyQuery,
                  tolerances: SdpTolerances | None = None) -> float:
     """Smoothed min-entropy: best H_min(A|B) within purified distance eps."""
     rho, da, db = query.reduced()
-    if query.eps < _EPS_COLLAPSE:
-        return _hmin_exact(rho, da, db, tolerances)[0]
-    return _hmin_smooth_sdp(rho, da, db, query.eps, tolerances)[0]
+    return _hmin_generic(rho, da, db, query.eps, tolerances)
 
 
 def h_max_smooth(query: EntropyQuery,

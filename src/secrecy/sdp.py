@@ -908,22 +908,17 @@ class LmiProgram:
 
 
 def _var_value(ref: VarRef, y: np.ndarray):
+    """The variable's value from the optimal parameters, in `param` order."""
+    v = y[ref.params]
     if ref.kind == "real":
-        return float(y[ref.offset])
+        return float(v[0])
     if ref.kind == "herm":
+        # sum_k v_k herm_basis(d)[k], written entrywise: the stack itself
+        # holds d^4 entries
         d = ref.shape[0]
-        m = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            m[i, i] = y[ref.param("diag", i)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                v = y[ref.param("re", i, j)] + 1j * y[ref.param("im", i, j)]
-                m[i, j] = v
-                m[j, i] = np.conj(v)
+        i, j = np.triu_indices(d, 1)
+        m = np.diag(v[:d]).astype(complex)
+        m[i, j] = v[d::2] + 1j * v[d + 1::2]
+        m[j, i] = m[i, j].conj()
         return m
-    r, c = ref.shape
-    m = np.zeros((r, c), dtype=complex)
-    for i in range(r):
-        for j in range(c):
-            m[i, j] = y[ref.param("re", i, j)] + 1j * y[ref.param("im", i, j)]
-    return m
+    return (v[0::2] + 1j * v[1::2]).reshape(ref.shape)

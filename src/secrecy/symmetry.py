@@ -21,11 +21,13 @@ units moving row 1 to row k) reconstruct T = sum_k C_k M C_k^dag.  Traces
 weight each block by the irrep dimension.
 
 ``h_min_smooth_power`` / ``h_max_smooth_power`` evaluate the smoothed
-entropies of rho^(x)n for n <= 3 through these blocks: the same program
-layout as the generic smoothing SDP, with every matrix constraint split into
-per-irrep blocks and fidelity handled blockwise on the support of each
-compressed rho^(x)n block.  An irrep where rho^(x)n has no weight keeps only
-its [dom] block, on sigma alone: its rho' block is 0 at an optimum.
+entropies of rho^(x)n for n <= 3 through these blocks.  They hand the
+compressed blocks of rho^(x)n, the compressed images of each sigma irrep's
+parameters (`_conditioner_maps`) and the irrep dimensions as weights to the
+one exact or smoothing program of `secrecy.entropy`, which is written
+blockwise: every matrix constraint splits into per-irrep blocks, fidelity is
+handled on the support of each compressed block, and an irrep where
+rho^(x)n has no weight keeps only its [dom] block, on sigma alone.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ import math
 import numpy as np
 
 from .quantum import DensityOperator, ValidationError, purify
-from .sdp import LmiBuilder, SdpTolerances, herm_basis
-from .entropy import (EntropyQuery, _EPS_COLLAPSE, _hmin_program,
-                      _place_corner, _solved, _support_factor, _trace_row,
-                      h_max_smooth, h_min_smooth)
+from .sdp import SdpTolerances, herm_basis
+from .entropy import EntropyQuery, _hmin_blocks, h_max_smooth, h_min_smooth
 
 __all__ = ["SymmetricBlocks", "h_min_smooth_power", "h_max_smooth_power"]
 
@@ -179,16 +179,6 @@ def _check_bipartite_normalized(state: DensityOperator) -> tuple[int, int]:
     return state.dims[0], state.dims[1]
 
 
-def _exact_power_value(rho: np.ndarray, da: int, db: int, n: int,
-                       tolerances: SdpTolerances | None) -> float:
-    """H_min(A^n|B^n) of rho^(x)n through the invariant-block program."""
-    sab = SymmetricBlocks(da * db, n)
-    sb = SymmetricBlocks(db, n)
-    program = _hmin_program(sab.compress(_power_matrix(rho, n)),
-                            _conditioner_maps(sab, sb, da, db, n), sb.weights)
-    return -math.log2(_solved(program, tolerances).value)
-
-
 def _conditioner_maps(sab: SymmetricBlocks, sb: SymmetricBlocks,
                       da: int, db: int, n: int) -> list[list[np.ndarray]]:
     """Per sigma irrep mu: the herm_basis stack of its block parameters,
@@ -204,74 +194,6 @@ def _conditioner_maps(sab: SymmetricBlocks, sb: SymmetricBlocks,
     return out
 
 
-def _smooth_power_value(rho: np.ndarray, da: int, db: int, n: int, eps: float,
-                        tolerances: SdpTolerances | None) -> float:
-    """H_min^eps(A^n|B^n) of rho^(x)n; same layout as the generic program,
-    with [dom], rho' >= 0 and the fidelity certificate split into per-irrep
-    blocks (fidelity of invariant operators is the irrep-dimension-weighted
-    sum of blockwise fidelities).  Where rho^(x)n has no weight, T = 0 is
-    optimal (it only spends trace and tightens [dom]), so such an irrep has
-    no T, keeps only its [dom] block, on sigma alone, and no cap term."""
-    sab = SymmetricBlocks(da * db, n)
-    sb = SymmetricBlocks(db, n)
-    rblocks = sab.compress(_power_matrix(rho, n))
-    sig_maps = _conditioner_maps(sab, sb, da, db, n)
-    root = math.sqrt(max(0.0, 1.0 - eps * eps))
-    factors = [_support_factor_or_none(blk) for blk in rblocks]
-
-    bld = LmiBuilder()
-    svars = [bld.herm_var(f"S_{ir['name']}", ir["mult"]) for ir in sb.irreps]
-    tvars = [bld.herm_var(f"T_{ir['name']}", ir["mult"]) if fac[0] is not None
-             else None for ir, fac in zip(sab.irreps, factors)]
-
-    xs = []
-    for lam, ir in enumerate(sab.irreps):
-        mult, wgt = ir["mult"], float(ir["dim"])
-        dom = bld.new_block(mult)
-        for var, maps in zip(svars, sig_maps):
-            bld.add_param_term(dom, var.params, maps[lam])
-        big, vee = factors[lam]
-        if big is None:
-            continue
-        bld.add_herm(dom, tvars[lam], coeff=-1.0)
-
-        psd = bld.new_block(mult)
-        bld.add_herm(psd, tvars[lam])
-
-        r = big.shape[0]
-        x = bld.cplx_var(f"X_{ir['name']}", r, r)
-        fid = bld.new_block(2 * r)
-        bld.add_const(fid, big)
-        bld.add_cplx(fid, x, at=(0, r))
-        _place_corner(bld, fid, tvars[lam], vee)
-        xs.append((x, wgt))
-
-    cap = bld.new_block(1)
-    bld.add_const(cap, np.array([[1.0]]))
-    for ir, var in zip(sab.irreps, tvars):
-        if var is not None:
-            bld.add_param_term(cap, *_trace_row(var, -float(ir["dim"])))
-
-    req = bld.new_block(1)
-    bld.add_const(req, np.array([[-root]]))
-    for x, wgt in xs:
-        bld.add_param_term(req, *_trace_row(x, wgt))
-
-    obj = []
-    for ir, var in zip(sb.irreps, svars):
-        obj.extend((p, float(ir["dim"]) * w)
-                   for p, w in var.trace_real_coeffs())
-    bld.minimize(obj)
-    sol = _solved(bld.build(), tolerances)
-    return -math.log2(sol.value)
-
-
-def _support_factor_or_none(block: np.ndarray):
-    if float(np.trace(block).real) < 1e-14 or block.shape[0] == 0:
-        return None, None
-    return _support_factor(block)
-
-
 def h_min_smooth_power(state: DensityOperator, n: int, eps: float,
                        tolerances: SdpTolerances | None = None) -> float:
     """H_min^eps(A^n|B^n) on the n-fold product of a bipartite state."""
@@ -280,9 +202,10 @@ def h_min_smooth_power(state: DensityOperator, n: int, eps: float,
         raise ValidationError("smoothing parameter must lie in [0, 1)")
     if n == 1:
         return h_min_smooth(EntropyQuery(state, (0,), (1,), eps), tolerances)
-    if eps < _EPS_COLLAPSE:
-        return _exact_power_value(state.mat, da, db, n, tolerances)
-    return _smooth_power_value(state.mat, da, db, n, eps, tolerances)
+    sab, sb = SymmetricBlocks(da * db, n), SymmetricBlocks(db, n)
+    return _hmin_blocks(sab.compress(_power_matrix(state.mat, n)),
+                        _conditioner_maps(sab, sb, da, db, n), sb.weights,
+                        sab.weights, eps, tolerances)
 
 
 def h_max_smooth_power(state: DensityOperator, n: int, eps: float,

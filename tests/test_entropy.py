@@ -25,7 +25,7 @@ from secrecy.quantum import (DensityOperator, Isometry, ValidationError,
                              random_unitary)
 from secrecy.entropy import (EntropyQuery, aep_bounds, h_max, h_min,
                              h_min_smooth, h_max_smooth)
-from secrecy.entropy import _hmin_exact
+from secrecy.entropy import _hmin_generic, _lifted_basis, _smooth_program
 
 TOL = 1e-6
 
@@ -140,7 +140,7 @@ class TestSmoothedMin:
             if froot < math.sqrt(1.0 - eps ** 2):
                 continue  # outside the ball
             tried += 1
-            cand_val, _ = _hmin_exact(cand, 2, 2, None)
+            cand_val = _hmin_generic(cand, 2, 2, 0.0, None)
             best = max(best, cand_val)
         assert tried > 1000  # the sampler genuinely explores the ball
         assert best <= val + TOL
@@ -186,6 +186,30 @@ class TestSmoothedMax:
         for lo, hi in zip(vals, vals[1:]):
             assert hi <= lo + TOL
         assert vals[1] >= vals[3] - TOL  # the 0.05 vs 0.2 comparison
+
+
+class TestSmoothingLayout:
+    """Blocks of the smoothing program in the documented order: [dom],
+    [fid] and [psd] per block (no [psd] at full rank), then [cap], [req]
+    and, for subnormalized input only, [gen]."""
+
+    @pytest.mark.parametrize("rank, mass, dims", [
+        (4, 1.0, [4, 8, 1, 1]),
+        (2, 1.0, [4, 4, 4, 1, 1]),
+        (4, 0.9, [4, 8, 1, 1, 2]),
+    ])
+    def test_generic_block_order(self, rank, mass, dims):
+        rho = mass * random_density((2, 2), np.random.default_rng(31),
+                                    rank=rank).mat
+        program = _smooth_program([rho], [[_lifted_basis(2, 2)]], [1], [1],
+                                  0.2)
+        assert program.problem.block_dims == dims
+
+    def test_empty_support_is_rejected(self):
+        zero = DensityOperator(np.zeros((4, 4)), (2, 2), validate=False)
+        with pytest.raises(ValidationError,
+                           match="state has numerically empty support"):
+            h_min_smooth(_q(zero, eps=0.2))
 
 
 class TestIsometryInvariance:

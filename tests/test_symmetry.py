@@ -8,11 +8,11 @@ import pytest
 from secrecy import sdp
 from secrecy.quantum import DensityOperator, ValidationError, random_density
 from secrecy.sdp import SdpStatus
-from secrecy.entropy import (EntropyQuery, aep_bounds, h_min, h_min_smooth,
-                             h_max_smooth)
+from secrecy.entropy import (EntropyQuery, _smooth_program, aep_bounds, h_min,
+                             h_min_smooth, h_max_smooth)
 from secrecy.symmetry import (SymmetricBlocks, _conditioner_maps,
-                              _perm_unitary, h_max_smooth_power,
-                              h_min_smooth_power)
+                              _perm_unitary, _power_matrix,
+                              h_max_smooth_power, h_min_smooth_power)
 
 
 @pytest.fixture(scope="module")
@@ -103,20 +103,37 @@ class TestBlockStructure:
 class TestProgramEquivalence:
     def test_two_copies_match_generic_smoothing(self, rng):
         # rho (x) rho of the pure state is swap-symmetric: its antisymmetric
-        # irrep has no weight and keeps only its [dom] block
-        for rho in (random_density((2, 2), rng, rank=2),
-                    random_density((2, 2), np.random.default_rng(7), rank=1)):
+        # irrep has no weight and keeps only its [dom] block.  The full-rank
+        # state places both irrep blocks directly in [fid]; its generic
+        # H_max program is 64-dimensional, so only H_min is compared there
+        for rho, with_hmax in (
+                (random_density((2, 2), rng, rank=2), True),
+                (random_density((2, 2), np.random.default_rng(7), rank=1),
+                 True),
+                (random_density((2, 2), np.random.default_rng(11)), False)):
             big = DensityOperator(np.kron(rho.mat, rho.mat), (2, 2, 2, 2))
             pairs = [
                 (h_min_smooth_power(rho, 2, 0.3),
                  h_min_smooth(EntropyQuery(big, (0, 2), (1, 3), 0.3))),
-                (h_max_smooth_power(rho, 2, 0.3),
-                 h_max_smooth(EntropyQuery(big, (0, 2), (1, 3), 0.3))),
                 (h_min_smooth_power(rho, 2, 0.0),
                  h_min(EntropyQuery(big, (0, 2), (1, 3)))),
             ]
+            if with_hmax:
+                pairs.append(
+                    (h_max_smooth_power(rho, 2, 0.3),
+                     h_max_smooth(EntropyQuery(big, (0, 2), (1, 3), 0.3))))
             for sym, generic in pairs:
                 assert sym == pytest.approx(generic, abs=1e-6)
+
+    def test_block_order_follows_the_generic_layout(self):
+        # rank 2 at n = 3: the sym (20) and mixed (20) irreps carry weight
+        # on rank-4 and rank-2 supports, the antisymmetric one (4) none
+        rho = random_density((2, 2), np.random.default_rng(15), rank=2)
+        sab, sb = SymmetricBlocks(4, 3), SymmetricBlocks(2, 3)
+        program = _smooth_program(sab.compress(_power_matrix(rho.mat, 3)),
+                                  _conditioner_maps(sab, sb, 2, 2, 3),
+                                  sb.weights, sab.weights, 0.25)
+        assert program.problem.block_dims == [20, 8, 20, 4, 20, 4, 20, 1, 1]
 
     def test_zero_weight_irrep_solves_without_retry(self, monkeypatch):
         # rank 2 at n = 3: no weight on the antisymmetric irrep; with its
