@@ -152,16 +152,7 @@ def check_degraded(channel: CqqWiretapChannel,
 
     choi = sol.primal_blocks[0]
     degrading = channel_from_choi(choi, db, de, eig_cutoff=eig_cutoff)
-    residual = max(
-        trace_norm(degrading.apply_matrix(channel.bob_marginal(x).mat)
-                   - channel.eve_marginal(x).mat)
-        for x in range(channel.size))
-    acc = sum(k.conj().T @ k for k in degrading.kraus)
-    tp_residual = float(np.max(np.abs(acc - np.eye(db))))
-    iso = degrading.stinespring()
-    return DegradedStructure(map=degrading, isometry=iso,
-                             dim_f=iso.out_dims[1], residual=residual,
-                             tp_residual=tp_residual, choi=choi)
+    return _measured_structure(channel, degrading, choi)
 
 
 def structure_from_map(channel: CqqWiretapChannel,
@@ -177,6 +168,13 @@ def structure_from_map(channel: CqqWiretapChannel,
         raise ValidationError(
             f"degrading map acts on {degrading.dim_in}->{degrading.dim_out}, "
             f"channel needs {channel.dim_b}->{channel.dim_e}")
+    return _measured_structure(channel, degrading, degrading.choi())
+
+
+def _measured_structure(channel: CqqWiretapChannel, degrading: QuantumChannel,
+                        choi: np.ndarray) -> DegradedStructure:
+    """The degrading map with its Stinespring dilation and its measured
+    marginal and trace-preservation residuals."""
     residual = max(
         trace_norm(degrading.apply_matrix(channel.bob_marginal(x).mat)
                    - channel.eve_marginal(x).mat)
@@ -186,7 +184,7 @@ def structure_from_map(channel: CqqWiretapChannel,
     iso = degrading.stinespring()
     return DegradedStructure(map=degrading, isometry=iso,
                              dim_f=iso.out_dims[1], residual=residual,
-                             tp_residual=tp_residual, choi=degrading.choi())
+                             tp_residual=tp_residual, choi=choi)
 
 
 # ---------------------------------------------------------------------------

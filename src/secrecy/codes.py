@@ -190,20 +190,22 @@ def channel_string_state(channel: CqqWiretapChannel,
                          xs: tuple[int, ...]) -> DensityOperator:
     """Joint receiver/eavesdropper state of an input string, grouped as
     (B_1..B_n, E_1..E_n) into two factors of dimension dim_B**n, dim_E**n."""
-    n = len(xs)
-    if n == 0:
+    if not xs:
         raise ValidationError("input string is empty")
+    return _grouped_kron([channel.states[x].mat for x in xs],
+                         channel.dim_b, channel.dim_e)
+
+
+def _grouped_kron(mats, dx: int, dy: int) -> DensityOperator:
+    """Kronecker product of per-letter matrices on X (x) Y, regrouped from
+    X_1 Y_1 ... X_n Y_n into the two factors (X^n, Y^n)."""
+    n = len(mats)
     mat = None
-    for x in xs:
-        s = channel.states[x].mat
+    for s in mats:
         mat = s if mat is None else np.kron(mat, s)
-    interleaved = DensityOperator(
-        mat, (channel.dim_b, channel.dim_e) * n, validate=False)
-    grouped = interleaved.permute(
+    grouped = DensityOperator(mat, (dx, dy) * n, validate=False).permute(
         [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)])
-    return DensityOperator(grouped.mat,
-                           (channel.dim_b ** n, channel.dim_e ** n),
-                           validate=False)
+    return DensityOperator(grouped.mat, (dx ** n, dy ** n), validate=False)
 
 
 def _check_compatible(code: WiretapCode, channel: CqqWiretapChannel) -> None:

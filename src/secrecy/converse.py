@@ -46,7 +46,8 @@ import numpy as np
 
 from .capacity import private_capacity_degraded
 from .channels import CqqWiretapChannel, DegradedStructure
-from .codes import WiretapCode, encoder_output_states, evaluate_code, _budget, BUDGET_ENV
+from .codes import (WiretapCode, encoder_output_states, evaluate_code, _budget,
+                    _grouped_kron, BUDGET_ENV)
 from .entropy import EntropyQuery, _support_floor, h_max_smooth, h_min_smooth
 from .lemmas import InequalityReport
 from .quantum import (DensityOperator, ValidationError, apply_isometry,
@@ -223,17 +224,9 @@ def _isometry_string_state(channel: CqqWiretapChannel,
                            xs: tuple[int, ...]) -> DensityOperator:
     """Receiver block of an input string pushed through the degrading
     isometry copywise, grouped as (E'^n, F^n)."""
-    n = len(xs)
-    de = channel.dim_e
-    df = structure.dim_f
-    mat = None
-    for x in xs:
-        tau = apply_isometry(channel.bob_marginal(x), structure.isometry, 0)
-        mat = tau.mat if mat is None else np.kron(mat, tau.mat)
-    inter = DensityOperator(mat, (de, df) * n, validate=False)
-    grouped = inter.permute(
-        [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)])
-    return DensityOperator(grouped.mat, (de ** n, df ** n), validate=False)
+    return _grouped_kron(
+        [apply_isometry(channel.bob_marginal(x), structure.isometry, 0).mat
+         for x in xs], channel.dim_e, structure.dim_f)
 
 
 def _chain_state(code: WiretapCode, channel: CqqWiretapChannel,
