@@ -10,13 +10,15 @@ with <A, B> = tr(A B) (real for Hermitian pairs).  The dual is
     maximize    b^T y
     subject to  sum_i y_i A_ij + S_j = C_j,   S_j >= 0.
 
-Complex data is embedded into real symmetric matrices of doubled size via
-M -> [[Re M, -Im M], [Im M, Re M]], solved by a homogeneous self-dual
-Mehrotra predictor-corrector method with Nesterov-Todd scaling, and the
-complex solution is read back off the invariant subspace.  Infeasibility is
-reported through Farkas-type certificates extracted from the homogeneous
-iterate.  Everything is dense and deterministic: fixed starting point, fixed
-iteration schedule, no randomization.
+The blocks are solved as they are, complex Hermitian, by a homogeneous
+self-dual Mehrotra predictor-corrector method with Nesterov-Todd scaling
+(as Tutuncu, Toh & Todd, Math. Program. 95 (2003), run it on Hermitian
+data, with conjugate transposes).  The compiled constraint matrix is one
+complex CSR whose row i is conj(vec A_i), so Re(A x)_i = <A_i, X> and
+conj(A^T y) = vec(sum_i y_i A_i); inner products of blocks are Re vdot.
+Infeasibility is reported through Farkas-type certificates extracted from
+the homogeneous iterate.  Everything is dense and deterministic: fixed
+starting point, fixed iteration schedule, no randomization.
 
 Every constraint is stored as (row, block, r, c, value) triplets.  Rows
 arrive one at a time through `SdpProblem.add_constraint`, or all at once from
@@ -28,7 +30,7 @@ the LMI layer (`LmiBuilder`), which phrases problems as
 this package).  The builder records each placement as triplets tagged by
 parameter; `build` maps them onto the standard form above (A_k = -F_k,
 b_k = -c_k, C = F_0) and validates all rows in one vectorised pass.
-`compile` embeds the triplets into the real constraint matrix in one pass.
+`compile` writes the triplets into that complex matrix in one pass.
 
 A linear image of a Hermitian variable is placed as one stack: `herm_basis`
 gives the unit contribution of each real parameter of a d x d Hermitian
@@ -87,8 +89,7 @@ class SdpProblem:
             raise SdpError("block dimensions must be positive")
         if c_blocks is None:
             c_blocks = [np.zeros((d, d), dtype=complex) for d in self.block_dims]
-        self.c_blocks = [np.array(c.toarray() if sp.issparse(c) else c,
-                                  dtype=complex) for c in c_blocks]
+        self.c_blocks = [np.array(c, dtype=complex) for c in c_blocks]
         if len(self.c_blocks) != len(self.block_dims):
             raise SdpError("one objective block per variable block required")
         for d, c in zip(self.block_dims, self.c_blocks):
@@ -105,7 +106,7 @@ class SdpProblem:
         return len(self._rhs)
 
     def add_constraint(self, blocks: dict[int, object], rhs: float) -> None:
-        """Add  sum_j <blocks[j], X_j> = rhs  (matrices dense or sparse)."""
+        """Add  sum_j <blocks[j], X_j> = rhs."""
         if not blocks:
             raise SdpError("constraint touches no block")
         parts = []
@@ -113,13 +114,9 @@ class SdpProblem:
             j = int(j)
             if j < 0 or j >= len(self.block_dims):
                 raise SdpError(f"constraint references unknown block {j}")
-            if sp.issparse(mat):
-                mat = mat.tocoo()
-                r, c, v = mat.row, mat.col, mat.data
-            else:
-                mat = np.asarray(mat, dtype=complex)
-                r, c = np.nonzero(mat)
-                v = mat[r, c]
+            mat = np.asarray(mat, dtype=complex)
+            r, c = np.nonzero(mat)
+            v = mat[r, c]
             if mat.shape != (self.block_dims[j],) * 2:
                 raise SdpError("constraint block shape mismatch")
             parts.append((np.full(len(v), j), r, c, v))
@@ -163,39 +160,18 @@ class SdpProblem:
                                c[live], val_sum[live]))
         self._rhs.extend(rhs.real.tolist())
 
-    # -- real symmetric embedding ------------------------------------------
-    def compile(self) -> "_RealConic":
+    def compile(self) -> "_Conic":
+        """The constraint rows as one complex CSR, row i = conj(vec A_i)."""
         if not self._rhs:
             raise SdpError("problem has no constraints")
-        dims = [2 * d for d in self.block_dims]
+        dims = list(self.block_dims)
         offs = np.concatenate([[0], np.cumsum([d * d for d in dims])])
-        c_vec = np.concatenate([_embed(cb).reshape(-1) for cb in self.c_blocks])
+        c_vec = np.concatenate([cb.reshape(-1) for cb in self.c_blocks])
         row, blk, r, c, v = (np.concatenate(a) for a in zip(*self._triplets))
-        d = np.asarray(self.block_dims)[blk]
-        # [[Re, -Im], [Im, Re]] written into the flat vector
-        er = np.concatenate([r, r + d, r, r + d])
-        ec = np.concatenate([c, c + d, c + d, c])
-        ev = np.concatenate([v.real, v.real, -v.imag, v.imag])
-        cols = np.tile(offs[blk], 4) + er * np.tile(2 * d, 4) + ec
-        keep = ev != 0.0
-        a = sp.coo_matrix((ev[keep], (np.tile(row, 4)[keep], cols[keep])),
+        cols = offs[blk] + r * np.asarray(dims)[blk] + c
+        a = sp.coo_matrix((v.conj(), (row, cols)),
                           shape=(len(self._rhs), int(offs[-1]))).tocsr()
-        return _RealConic(dims, list(offs), c_vec, a, 2.0 * np.array(self._rhs))
-
-
-def _embed(mat: np.ndarray) -> np.ndarray:
-    """Complex Hermitian -> real symmetric of doubled size."""
-    re, im = mat.real, mat.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _extract(mat_r: np.ndarray) -> np.ndarray:
-    """Read a complex Hermitian matrix back off its doubled real embedding."""
-    n = mat_r.shape[0] // 2
-    re = 0.5 * (mat_r[:n, :n] + mat_r[n:, n:])
-    im = 0.5 * (mat_r[n:, :n] - mat_r[:n, n:])
-    out = re + 1j * im
-    return 0.5 * (out + out.conj().T)
+        return _Conic(dims, list(offs), c_vec, a, np.array(self._rhs))
 
 
 @dataclass
@@ -217,11 +193,11 @@ class SdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# real conic core
+# Hermitian conic core
 # ---------------------------------------------------------------------------
 
-class _RealConic:
-    """Compiled real symmetric problem; `scale` adds the per-block views."""
+class _Conic:
+    """Compiled Hermitian problem; `scale` adds the per-block views."""
 
     def __init__(self, dims, offs, c_vec, a, b):
         self.dims = dims
@@ -239,13 +215,15 @@ class _RealConic:
         """
         a = self.A
         lens = np.diff(a.indptr)
-        # one dot product per row, as np.linalg.norm takes it, batched by
-        # row length
+        # Re.Re + Im.Im per row, as np.linalg.norm takes it (on the strided
+        # real and imaginary views), batched by row length
         sq = np.zeros(self.m)
         for k in np.unique(lens):
             rows = np.flatnonzero(lens == k)
             seg = a.data[a.indptr[rows, None] + np.arange(k)]
-            sq[rows] = (seg[:, None, :] @ seg[:, :, None]).ravel()
+            re, im = seg.real, seg.imag
+            sq[rows] = (re[:, None, :] @ re[:, :, None]
+                        + im[:, None, :] @ im[:, :, None]).ravel()
         row_scale = np.maximum(np.sqrt(sq), 1e-12)
         # the scaled rows are stored in descending column order: it sets the
         # summation order of every A x in the interior-point loop, and so the
@@ -259,8 +237,8 @@ class _RealConic:
         sc = max(1.0, float(np.linalg.norm(self.c_vec)))
         self.b = b_s / sb
         self.c_vec = self.c_vec / sc
-        # per-block column slices, active rows, and "tall" stacked forms used
-        # by the Schur-complement assembly
+        # per-block column slices (rows conj(vec A_i)), active rows, and the
+        # A_i stacked "tall", used by the Schur-complement assembly
         self.acol, self.act, self.atall = [], [], []
         for j, d in enumerate(self.dims):
             sub = self.A[:, self.offs[j]:self.offs[j + 1]].tocoo()
@@ -269,9 +247,17 @@ class _RealConic:
             self.acol.append(sp.csr_matrix((sub.data, (rows, sub.col)),
                                            shape=(len(act), d * d)))
             self.atall.append(sp.csr_matrix(
-                (sub.data, (rows * d + sub.col // d, sub.col % d)),
+                (sub.data.conj(), (rows * d + sub.col // d, sub.col % d)),
                 shape=(len(act) * d, d)))
         return row_scale, sb, sc
+
+    def op(self, x: np.ndarray) -> np.ndarray:
+        """(<A_i, X>)_i."""
+        return (self.A @ x).real
+
+    def adj(self, y: np.ndarray) -> np.ndarray:
+        """vec(sum_i y_i A_i)."""
+        return (self.A.T @ y).conj()
 
     def vec(self, blocks: list[np.ndarray]) -> np.ndarray:
         return np.concatenate([bl.reshape(-1) for bl in blocks])
@@ -281,8 +267,13 @@ class _RealConic:
                 for j, d in enumerate(self.dims)]
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+def _herm(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Re <u, v>: tr(U V) for Hermitian blocks."""
+    return float(np.vdot(u, v).real)
 
 
 def _eigh_floor(mat: np.ndarray):
@@ -303,39 +294,44 @@ class _Scal:
 
 def _nt_block(x: np.ndarray, s: np.ndarray) -> _Scal:
     sv, sq = _eigh_floor(s)
-    s_half = (sq * np.sqrt(sv)) @ sq.T
-    s_mh = (sq / np.sqrt(sv)) @ sq.T
-    t = _sym(s_half @ x @ s_half)
+    sqh = sq.conj().T
+    s_half = (sq * np.sqrt(sv)) @ sqh
+    s_mh = (sq / np.sqrt(sv)) @ sqh
+    t = _herm(s_half @ x @ s_half)
     tv, tq = _eigh_floor(t)
-    t_half = (tq * np.sqrt(tv)) @ tq.T
-    w = _sym(s_mh @ t_half @ s_mh)
+    t_half = (tq * np.sqrt(tv)) @ tq.conj().T
+    w = _herm(s_mh @ t_half @ s_mh)
     wv, wq = _eigh_floor(w)
-    r = (wq * np.sqrt(wv)) @ wq.T
-    ri = (wq / np.sqrt(wv)) @ wq.T
-    lam = _sym(0.5 * (ri @ x @ ri + r @ s @ r))
+    wqh = wq.conj().T
+    r = (wq * np.sqrt(wv)) @ wqh
+    ri = (wq / np.sqrt(wv)) @ wqh
+    lam = _herm(0.5 * (ri @ x @ ri + r @ s @ r))
     lv, lq = _eigh_floor(lam)
     return _Scal(w, r, ri, lam, lv, lq)
 
 
 def _lyap(scal: _Scal, t: np.ndarray) -> np.ndarray:
     """Solve lam o U = T (o = symmetrized product) in lam's eigenbasis."""
-    tt = scal.lQ.T @ t @ scal.lQ
+    qh = scal.lQ.conj().T
+    tt = qh @ t @ scal.lQ
     u = 2.0 * tt / (scal.lv[:, None] + scal.lv[None, :])
-    return scal.lQ @ u @ scal.lQ.T
+    return scal.lQ @ u @ qh
 
 
 def _alpha_psd(scal: _Scal, dt: np.ndarray) -> float:
     """Largest alpha with lam + alpha*dt >= 0 (dt in scaled space)."""
-    a = scal.lQ.T @ dt @ scal.lQ
+    a = scal.lQ.conj().T @ dt @ scal.lQ
     rs = 1.0 / np.sqrt(scal.lv)
-    emin = float(np.linalg.eigvalsh(_sym(a * rs[:, None] * rs[None, :]))[0])
+    emin = float(np.linalg.eigvalsh(_herm(a * rs[:, None] * rs[None, :]))[0])
     return math.inf if emin >= -1e-16 else 1.0 / (-emin)
 
 
-_SCHUR_CHUNK = 3_000_000  # doubles per assembly chunk
+_SCHUR_CHUNK = 1_500_000  # complex entries per assembly chunk
 
 
-def _schur(rc: _RealConic, scals: list[_Scal]) -> np.ndarray:
+def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
+    """H_ik = Re tr(A_i W A_k W), assembled on and below the diagonal and
+    then mirrored."""
     m = rc.m
     big = np.zeros((m, m))
     for j, d in enumerate(rc.dims):
@@ -347,15 +343,28 @@ def _schur(rc: _RealConic, scals: list[_Scal]) -> np.ndarray:
         for c0 in range(0, len(act), rows_per):
             c1 = min(c0 + rows_per, len(act))
             nc = c1 - c0
-            t1 = rc.atall[j][c0 * d:c1 * d] @ w           # stacked U_k W
+            t1 = rc.atall[j][c0 * d:c1 * d] @ w           # stacked A_k W
             # laid out (a, c, k): the product is G^T, (d*d, nc), C-ordered
             t2 = w @ t1.reshape(nc, d, d).transpose(1, 2, 0).reshape(d, d * nc)
-            contrib = rc.acol[j] @ t2.reshape(d * d, nc)   # (n_act, nc)
-            big[np.ix_(act, act[c0:c1])] += contrib
-    return _sym(big)
+            # only the active rows from the chunk's first column on
+            rows = rc.acol[j][c0:] if c0 else rc.acol[j]
+            contrib = rows @ t2.reshape(d * d, nc)         # (n_act - c0, nc)
+            big[np.ix_(act[c0:], act[c0:c1])] += contrib.real
+    _mirror_lower(big)
+    return big
 
 
-def _w_apply(rc: _RealConic, scals: list[_Scal], v: np.ndarray) -> np.ndarray:
+def _mirror_lower(big: np.ndarray, band: int = 128) -> None:
+    """Copy the lower triangle onto the upper one, a band of rows at a time."""
+    for i0 in range(0, big.shape[0], band):
+        i1 = i0 + band
+        sq = big[i0:i1, i0:i1]
+        lo = np.tril_indices(len(sq), -1)
+        sq[lo[::-1]] = sq[lo]
+        big[i0:i1, i1:] = big[i1:, i0:i1].T
+
+
+def _w_apply(rc: _Conic, scals: list[_Scal], v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
     for j, d in enumerate(rc.dims):
         sl = slice(rc.offs[j], rc.offs[j + 1])
@@ -397,8 +406,8 @@ def _step(scals: list[_Scal], dx_b, ds_b, tau, kap, dtau, dkap,
     """Step length min(1, damp * alpha), alpha <= cap the largest step that
     keeps X, S, tau and kappa in their cones; also returns the directions
     in the scaled space."""
-    dxt = [_sym(sc.Ri @ dx @ sc.Ri) for sc, dx in zip(scals, dx_b)]
-    dst = [_sym(sc.R @ ds @ sc.R) for sc, ds in zip(scals, ds_b)]
+    dxt = [_herm(sc.Ri @ dx @ sc.Ri) for sc, dx in zip(scals, dx_b)]
+    dst = [_herm(sc.R @ ds @ sc.R) for sc, ds in zip(scals, ds_b)]
     alpha = min([cap] + [_alpha_psd(sc, t)
                          for sc, t in zip(scals + scals, dxt + dst)])
     if dtau < 0:
@@ -408,14 +417,14 @@ def _step(scals: list[_Scal], dx_b, ds_b, tau, kap, dtau, dkap,
     return min(1.0, damp * alpha), dxt, dst
 
 
-def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
+def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
     nb = len(rc.dims)
     nu = float(sum(rc.dims))
-    xb = [np.eye(d) for d in rc.dims]
-    sb = [np.eye(d) for d in rc.dims]
+    xb = [np.eye(d, dtype=complex) for d in rc.dims]
+    sb = [np.eye(d, dtype=complex) for d in rc.dims]
     y = np.zeros(rc.m)
     tau, kap = 1.0, 1.0
-    c, b, a = rc.c_vec, rc.b, rc.A
+    c, b = rc.c_vec, rc.b
     # convergence is judged on the original (un-scaled) data magnitudes
     row_scale, scale_b, scale_c, normb, normc = descale
     status, msg = None, ""
@@ -427,33 +436,33 @@ def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         by = float(b @ y)
         if by > 1e-12:
             u = y / by
-            z = rc.unvec(-(a.T @ u))
+            z = rc.unvec(-rc.adj(u))
             scale = max(1.0, max(float(np.max(np.abs(zj))) for zj in z))
-            emin = min(float(np.linalg.eigvalsh(_sym(zj))[0]) for zj in z)
+            emin = min(float(np.linalg.eigvalsh(_herm(zj))[0]) for zj in z)
             if emin >= -quality * scale:
                 return SdpStatus.PRIMAL_INFEASIBLE
         x = rc.vec(xb)
-        cx = float(c @ x)
+        cx = _dot(c, x)
         if cx < -1e-12:
             wv = x / (-cx)
-            if float(np.max(np.abs(a @ wv))) <= quality * max(1.0, float(np.max(np.abs(wv)))):
+            if float(np.max(np.abs(rc.op(wv)))) <= quality * max(1.0, float(np.max(np.abs(wv)))):
                 return SdpStatus.DUAL_INFEASIBLE
         return None
 
     for it in range(1, tol.max_iter + 1):
         x = rc.vec(xb)
         s = rc.vec(sb)
-        mu = (float(x @ s) + tau * kap) / (nu + 1.0)
+        mu = (_dot(x, s) + tau * kap) / (nu + 1.0)
 
         # de-homogenized optimality test, in original data units
         if tau > 1e-10:
             obj = scale_b * scale_c
-            pv = float(c @ x) / tau * obj
+            pv = _dot(c, x) / tau * obj
             dv = float(b @ y) / tau * obj
             pres = scale_b * float(np.linalg.norm(
-                (a @ x / tau - b) * row_scale)) / normb
+                (rc.op(x) / tau - b) * row_scale)) / normb
             dres = scale_c * float(np.linalg.norm(
-                c - a.T @ y / tau - s / tau)) / normc
+                c - rc.adj(y) / tau - s / tau)) / normc
             gap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
             if pres <= tol.feas and dres <= tol.feas and gap <= tol.gap:
                 status, msg = SdpStatus.OPTIMAL, "converged"
@@ -471,8 +480,8 @@ def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         big = _schur(rc, scals)
         solver = _make_solver(big)
         wc = _w_apply(rc, scals, c)
-        awc = a @ wc
-        cwc = float(c @ wc)
+        awc = rc.op(wc)
+        cwc = _dot(c, wc)
         u1 = solver(awc + b)
         bmawc = b - awc
         den = float(bmawc @ u1) + cwc + kap / tau
@@ -480,19 +489,19 @@ def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         def directions(rhs_p, rhs_d, rhs_g, rhs_tk, us):
             lt = rc.vec([scals[j].R @ us[j] @ scals[j].R for j in range(nb)])
             wrd = _w_apply(rc, scals, rhs_d)
-            rhs1 = rhs_p - a @ lt - a @ wrd
-            rhs2 = rhs_g + float(c @ lt) + float(wc @ rhs_d) + rhs_tk / tau
+            rhs1 = rhs_p - rc.op(lt) - rc.op(wrd)
+            rhs2 = rhs_g + _dot(c, lt) + _dot(wc, rhs_d) + rhs_tk / tau
             u2 = solver(rhs1)
             dtau = (rhs2 - float(bmawc @ u2)) / den if abs(den) > 1e-300 else 0.0
             dy = u2 + dtau * u1
-            ds = -(a.T @ dy) + c * dtau - rhs_d
+            ds = -rc.adj(dy) + c * dtau - rhs_d
             dx = lt - _w_apply(rc, scals, ds)
             dkap = (rhs_tk - kap * dtau) / tau
             return dx, dy, ds, dtau, dkap
 
-        rp = a @ x - b * tau
-        rd = -(a.T @ y) + c * tau - s
-        rg = float(b @ y) - float(c @ x) - kap
+        rp = rc.op(x) - b * tau
+        rd = -rc.adj(y) + c * tau - s
+        rg = float(b @ y) - _dot(c, x) - kap
 
         # affine (predictor) direction
         us_aff = [-scals[j].lam for j in range(nb)]
@@ -500,7 +509,7 @@ def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         alpha_aff, dxt_a, dst_a = _step(scals, rc.unvec(dxa), rc.unvec(dsa),
                                         tau, kap, dta, dka, 1.0, 0.98)
 
-        mu_aff = ((float((x + alpha_aff * dxa) @ (s + alpha_aff * dsa))
+        mu_aff = ((_dot(x + alpha_aff * dxa, s + alpha_aff * dsa)
                    + (tau + alpha_aff * dta) * (kap + alpha_aff * dka))
                   / (nu + 1.0))
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
@@ -508,10 +517,10 @@ def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         # combined (corrector) direction
         us = []
         for j in range(nb):
-            cross = _sym(dxt_a[j] @ dst_a[j])
+            cross = _herm(dxt_a[j] @ dst_a[j])
             t = sigma * mu * np.eye(rc.dims[j]) - scals[j].lam @ scals[j].lam \
                 - cross
-            us.append(_lyap(scals[j], _sym(t)))
+            us.append(_lyap(scals[j], _herm(t)))
         f = 1.0 - sigma
         dx, dy, ds, dta2, dka2 = directions(
             -f * rp, -f * rd, -f * rg,
@@ -526,7 +535,7 @@ def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             # mu), which usually restores step lengths on the next sweep
             rescues -= 1
             us_c = [_lyap(scals[j],
-                          _sym(mu * np.eye(rc.dims[j])
+                          _herm(mu * np.eye(rc.dims[j])
                                - scals[j].lam @ scals[j].lam))
                     for j in range(nb)]
             dx, dy, ds, dta2, dka2 = directions(
@@ -544,8 +553,8 @@ def _ipm(rc: _RealConic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             stall = 0
 
         for j in range(nb):
-            xb[j] = _sym(xb[j] + step * dx_b[j])
-            sb[j] = _sym(sb[j] + step * ds_b[j])
+            xb[j] = _herm(xb[j] + step * dx_b[j])
+            sb[j] = _herm(sb[j] + step * ds_b[j])
         y = y + step * dy
         tau += step * dta2
         kap += step * dka2
@@ -574,7 +583,9 @@ def solve(problem: SdpProblem,
     """
     tol = tolerances or SdpTolerances()
     rc = problem.compile()
-    a, b, c = rc.A, rc.b, rc.c_vec   # unscaled, for certificates and _verify
+    # unscaled, for certificates and _verify
+    orig = _Conic(rc.dims, rc.offs, rc.c_vec, rc.A, rc.b)
+    b, c = orig.b, orig.c_vec
     row_scale, sb, sc = rc.scale()
     raw = _ipm(rc, tol, descale=(row_scale, sb, sc,
                                  1.0 + float(np.linalg.norm(b)),
@@ -584,32 +595,27 @@ def solve(problem: SdpProblem,
                       message=raw.message)
     if raw.status is SdpStatus.OPTIMAL:
         tau = raw.tau
-        xb = [sb * blk / tau for blk in raw.x]
-        y = sc * (raw.y / row_scale) / tau
+        sol.primal_blocks = [sb * blk / tau for blk in raw.x]
+        sol.dual_y = sc * (raw.y / row_scale) / tau
         slk = [sc * blk / tau for blk in raw.s]
-        sol.primal_blocks = [_extract(blk) for blk in xb]
-        sol.dual_y = y
-        sol.dual_slack_blocks = [_extract(blk) for blk in slk]
-        sol.primal_value = 0.5 * float(c @ rc.vec(xb))
-        sol.dual_value = 0.5 * float(b @ y)
-        _verify(rc, a, b, c, sol, solver_slack=slk)
+        sol.primal_value = _dot(c, orig.vec(sol.primal_blocks))
+        sol.dual_value = float(b @ sol.dual_y)
+        _verify(orig, sol, solver_slack=slk)
     elif raw.status is SdpStatus.PRIMAL_INFEASIBLE:
         y = sc * (raw.y / row_scale)
-        byv = float(b @ y) / 2.0
+        byv = float(b @ y)
         y = y / byv if abs(byv) > 1e-300 else y
-        zc = rc.unvec(-(a.T @ y))
         sol.certificate = {
             "kind": "farkas_dual",
             "y": y,
-            "slack_blocks": [_extract(zj) for zj in zc],
+            "slack_blocks": [_herm(zj) for zj in orig.unvec(-orig.adj(y))],
             "note": "sum_i y_i A_i <= 0 (approx) with b.y = 1",
         }
         sol.dual_y = y
     elif raw.status is SdpStatus.DUAL_INFEASIBLE:
-        x = rc.vec(raw.x) * sb
-        cx = 0.5 * float(c @ x)
+        cx = _dot(c, orig.vec(raw.x) * sb)
         scale = -cx if cx < -1e-300 else 1.0
-        blocks = [_extract(blk * sb / scale) for blk in raw.x]
+        blocks = [blk * sb / scale for blk in raw.x]
         sol.certificate = {
             "kind": "improving_ray",
             "blocks": blocks,
@@ -619,22 +625,18 @@ def solve(problem: SdpProblem,
     return sol
 
 
-def _verify(rc: _RealConic, a, b, c, sol: SdpSolution,
+def _verify(rc: _Conic, sol: SdpSolution,
             solver_slack: list[np.ndarray]) -> None:
-    """Recompute feasibility residuals and eigenvalue floors from scratch."""
+    """Recompute feasibility residuals and eigenvalue floors from scratch,
+    on the unscaled problem `rc`."""
     xb = sol.primal_blocks
-    y = sol.dual_y
-    x_r = rc.vec([_embed(blk) for blk in xb])
-    res = a @ x_r - b
-    sol.primal_residual = 0.5 * float(np.max(np.abs(res))) if rc.m else 0.0
-    sol.min_eig_primal = min(
-        float(np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))[0])
-        for blk in xb)
+    res = rc.op(rc.vec(xb)) - rc.b
+    sol.primal_residual = float(np.max(np.abs(res))) if rc.m else 0.0
+    sol.min_eig_primal = min(float(np.linalg.eigvalsh(blk)[0]) for blk in xb)
     # slack recomputed from y; residual = distance to the slack the solver kept
-    s_r = rc.unvec(c - a.T @ y)
-    slack = [_extract(sj) for sj in s_r]
+    slack = [_herm(sj) for sj in rc.unvec(rc.c_vec - rc.adj(sol.dual_y))]
     sol.dual_residual = max(
-        float(np.max(np.abs(chk - _extract(it_s))))
+        float(np.max(np.abs(chk - it_s)))
         for chk, it_s in zip(slack, solver_slack))
     sol.dual_slack_blocks = slack
     sol.min_eig_slack = min(

@@ -267,9 +267,6 @@ def test_builder_compile_and_scaling_match_loop_reference():
         assert np.array_equal(getattr(got.A, attr), getattr(want.A, attr))
     assert np.array_equal(got.b, want.b)
     assert np.array_equal(got.c_vec, want.c_vec)
-    embedded = [np.concatenate([np.block([[-m.real, m.imag], [-m.imag, -m.real]])
-                                .ravel() for m in row]) for row in ref]
-    assert np.array_equal(got.A.toarray(), np.array(embedded))
 
     a = got.A.copy()
     row_scale, _, _ = got.scale()
@@ -321,16 +318,19 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     rc.scale()
     assert not np.array_equal(rc.act[1], np.arange(rc.act[1][0],
                                                    rc.act[1][-1] + 1))
-    scals = [sdp_mod._nt_block(rand_pd(d, rng).real, rand_pd(d, rng).real)
+    scals = [sdp_mod._nt_block(rand_pd(d, rng), rand_pd(d, rng))
              for d in rc.dims]
-    rows = [rc.unvec(rc.A[i].toarray().ravel()) for i in range(rc.m)]
-    want = np.array([[sum(np.trace(ai @ sc.W @ ak @ sc.W)
+    # row i of the compiled matrix is conj(vec A_i)
+    rows = [rc.unvec(rc.A[i].toarray().ravel().conj()) for i in range(rc.m)]
+    want = np.array([[sum(np.trace(ai @ sc.W @ ak @ sc.W).real
                           for ai, ak, sc in zip(rows[i], rows[k], scals))
                       for k in range(rc.m)] for i in range(rc.m)])
     one_chunk = sdp_mod._schur(rc, scals)
-    # 36 doubles: blocks of real size 6, 4, 2 take 1, 2 and 9 rows a chunk,
-    # so block 0 spans seven chunks and block 1 two
+    # 36 entries: blocks of size 3, 2, 1 take 4, 9 and 36 rows a chunk, so
+    # block 0's seven active rows span two chunks, the second of which
+    # starts below the diagonal
     monkeypatch.setattr(sdp_mod, "_SCHUR_CHUNK", 36)
     chunked = sdp_mod._schur(rc, scals)
     for got in (one_chunk, chunked):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got, got.T)
