@@ -82,8 +82,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _ascend(fg: Objective, p: np.ndarray, project: Callable
-            ) -> tuple[float, np.ndarray, np.ndarray, int]:
+def _ascend(fg: Objective, p: np.ndarray, project: Callable,
+            concave: bool) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Projected gradient ascent of ``fg`` (value and gradient) from ``p``;
     returns the value, point, gradient there and iteration count."""
     p = project(np.asarray(p, dtype=float))
@@ -94,6 +94,10 @@ def _ascend(fg: Objective, p: np.ndarray, project: Callable
         if np.linalg.norm(project(p + g) - p) <= _CONV_TOL:
             break
         t = 2.0 * step
+        if concave and float(g @ (project(p + t * g) - p)) <= 1e-14:
+            # on a concave objective g.(cand - p) bounds the gain of every
+            # step up to t, so none could pass the 1e-14 test below
+            break
         while t > 1e-14:
             cand = project(p + t * g)
             fc, gc = fg(cand)
@@ -122,7 +126,7 @@ def _multistart(fg: Objective, inits: Sequence[np.ndarray],
     values = []
     total_iters = 0
     for p0 in inits:
-        val, p, g, iters = _ascend(fg, p0, project)
+        val, p, g, iters = _ascend(fg, p0, project, concave)
         values.append(val)
         total_iters += iters
         if best is None or val > best[0]:

@@ -18,7 +18,10 @@ nothing in the package or the benchmark changes.
 
 ``--diff`` pairs the solves of two runs by operation and index, lists the
 pairs whose hashes differ, and totals iterations, numerical failures and
-relaxed solves on both sides.  Equal hashes mean bit-identical programs and
+relaxed solves on both sides.  The index counts the operation's settled
+solves: a solve that ended in numerical failure is keyed "<i> failed", after
+the settled solve before it, so that when one side fails and retries, the
+operation's later solves still pair with the same programs.  Equal hashes mean bit-identical programs and
 solver runs; the exit status is 0 then and 1 otherwise.
 """
 
@@ -147,10 +150,18 @@ def record(workload: str, seed: int) -> list[dict]:
     return recorder.records
 
 
-def _load(path: str) -> dict[tuple[str, int], dict]:
+def _load(path: str) -> dict[tuple[str, object], dict]:
     with open(path, encoding="ascii") as fh:
         recs = [json.loads(line) for line in fh if line.strip()]
-    return {(r["op"], r["index"]): r for r in recs}
+    out, settled = {}, {}
+    for r in recs:
+        i = settled.get(r["op"], 0)
+        if r["status"] == "NumericalFailure":
+            out[(r["op"], f"{i} failed")] = r
+        else:
+            out[(r["op"], i)] = r
+            settled[r["op"]] = i + 1
+    return out
 
 
 def _totals(recs) -> tuple[int, int, int]:
