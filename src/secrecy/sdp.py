@@ -330,8 +330,7 @@ _SCHUR_CHUNK = 1_500_000  # complex entries per assembly chunk
 
 
 def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
-    """H_ik = Re tr(A_i W A_k W), assembled on and below the diagonal and
-    then mirrored."""
+    """H_ik = Re tr(A_i W A_k W), both triangles assembled and averaged."""
     m = rc.m
     big = np.zeros((m, m))
     for j, d in enumerate(rc.dims):
@@ -346,22 +345,9 @@ def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
             t1 = rc.atall[j][c0 * d:c1 * d] @ w           # stacked A_k W
             # laid out (a, c, k): the product is G^T, (d*d, nc), C-ordered
             t2 = w @ t1.reshape(nc, d, d).transpose(1, 2, 0).reshape(d, d * nc)
-            # only the active rows from the chunk's first column on
-            rows = rc.acol[j][c0:] if c0 else rc.acol[j]
-            contrib = rows @ t2.reshape(d * d, nc)         # (n_act - c0, nc)
-            big[np.ix_(act[c0:], act[c0:c1])] += contrib.real
-    _mirror_lower(big)
-    return big
-
-
-def _mirror_lower(big: np.ndarray, band: int = 128) -> None:
-    """Copy the lower triangle onto the upper one, a band of rows at a time."""
-    for i0 in range(0, big.shape[0], band):
-        i1 = i0 + band
-        sq = big[i0:i1, i0:i1]
-        lo = np.tril_indices(len(sq), -1)
-        sq[lo[::-1]] = sq[lo]
-        big[i0:i1, i1:] = big[i1:, i0:i1].T
+            contrib = rc.acol[j] @ t2.reshape(d * d, nc)   # (n_act, nc)
+            big[np.ix_(act, act[c0:c1])] += contrib.real
+    return 0.5 * (big + big.T)
 
 
 def _w_apply(rc: _Conic, scals: list[_Scal], v: np.ndarray) -> np.ndarray:
