@@ -327,8 +327,7 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
                       for k in range(rc.m)] for i in range(rc.m)])
     one_chunk = sdp_mod._schur(rc, scals)
     # 36 entries: blocks of size 3, 2, 1 take 4, 9 and 36 rows a chunk, so
-    # block 0's seven active rows span two chunks, the second of which
-    # starts below the diagonal
+    # block 0's seven active rows span two chunks
     monkeypatch.setattr(sdp_mod, "_SCHUR_CHUNK", 36)
     chunked = sdp_mod._schur(rc, scals)
     for got in (one_chunk, chunked):
