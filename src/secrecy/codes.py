@@ -273,9 +273,8 @@ def joint_state(code: WiretapCode,
     Factors are (U, Uhat, E^n).  A decoder-less single-message code gets the
     trivial always-correct decoder.
     """
-    _check_compatible(code, channel)
-    povm = _decoder(code, channel)
     states = encoder_output_states(code, channel)
+    povm = _decoder(code, channel)
     dbn = channel.dim_b ** code.n
     den = channel.dim_e ** code.n
     m = code.m
@@ -292,9 +291,8 @@ def joint_state(code: WiretapCode,
 def decode_distribution(code: WiretapCode,
                         channel: CqqWiretapChannel) -> np.ndarray:
     """Joint distribution P(u, uhat) of sent and decoded messages."""
-    _check_compatible(code, channel)
-    povm = _decoder(code, channel)
     states = encoder_output_states(code, channel)
+    povm = _decoder(code, channel)
     return _decode_distribution([s.partial_trace([0]).mat for s in states],
                                 povm)
 
@@ -416,7 +414,14 @@ def evaluate_code(code: WiretapCode, channel: CqqWiretapChannel,
     best uncorrelated reference.
     """
     _check_mode(privacy_mode)
-    states = encoder_output_states(code, channel)
+    return _performance(code, channel, encoder_output_states(code, channel),
+                        privacy_mode, tolerances)
+
+
+def _performance(code: WiretapCode, channel: CqqWiretapChannel,
+                 states: list[DensityOperator], privacy_mode: str,
+                 tolerances: SdpTolerances | None) -> CodePerformance:
+    """``evaluate_code`` on the code's per-message block states."""
     bob = [s.partial_trace([0]).mat for s in states]
     if code.decoder is None and code.m > 1:
         code = code.with_decoder(_synthesize(bob, tolerances)[0])
@@ -675,8 +680,7 @@ def brute_force_M(channel: CqqWiretapChannel, n: int, eps: float,
                                        for s in states]) > delta_cap:
                 continue
             code = code.with_decoder(_synthesize(bob, None)[0])
-            perf = evaluate_code(code, channel,
-                                 privacy_mode=cfg.privacy_mode)
+            perf = _performance(code, channel, states, cfg.privacy_mode, None)
             if perf.eps_star <= eps + cfg.tol \
                     and perf.delta_star <= delta + cfg.tol:
                 best_m, witness = m, code

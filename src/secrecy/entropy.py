@@ -67,8 +67,8 @@ import numpy as np
 
 from .quantum import (DensityOperator, ValidationError, conditional_entropy,
                       purify)
-from .sdp import (LmiBuilder, LmiSolution, SdpError, SdpStatus,
-                  SdpTolerances, VarRef, herm_basis)
+from .sdp import (LmiBuilder, LmiSolution, SdpError, SdpTolerances, VarRef,
+                  herm_basis)
 
 __all__ = [
     "EntropyQuery",
@@ -142,27 +142,17 @@ def _require_exact(query: EntropyQuery, name: str) -> None:
 
 
 def _solved(program, tolerances) -> LmiSolution:
-    """Solve, retrying at mildly relaxed gap targets on numerical stalls.
+    """Solve once; raise unless the program reached optimality.
 
-    The retry ladder stops at 1e-6 relative duality gap, an order below
-    every tolerance asserted on entropy values downstream; infeasibility
-    certificates are never retried.
+    A run that stalls returns its iterate at a fallback gap target of at
+    most 1e-6 (recorded as ``sol.sdp.gap_target``), an order below every
+    tolerance asserted on entropy values downstream.
     """
     sol = program.solve(tolerances)
-    if sol.value is not None:
-        return sol
-    if sol.sdp.status is SdpStatus.NUMERICAL_FAILURE:
-        base = tolerances or SdpTolerances()
-        for relax in (1e-7, 1e-6):
-            if relax <= base.gap:
-                continue
-            retry = SdpTolerances(gap=relax, feas=max(base.feas, relax),
-                                  max_iter=base.max_iter, cert=base.cert)
-            sol = program.solve(retry)
-            if sol.value is not None:
-                return sol
-    raise SdpError(f"entropy SDP did not reach optimality: "
-                   f"{sol.sdp.status.value} ({sol.sdp.message})")
+    if sol.value is None:
+        raise SdpError(f"entropy SDP did not reach optimality: "
+                       f"{sol.sdp.status.value} ({sol.sdp.message})")
+    return sol
 
 
 def _lifted_basis(da: int, db: int) -> np.ndarray:

@@ -20,6 +20,12 @@ Infeasibility is reported through Farkas-type certificates extracted from
 the homogeneous iterate.  Everything is dense and deterministic: fixed
 starting point, fixed iteration schedule, no randomization.
 
+Each program is solved once.  A run keeps the first iterate meeting each
+fallback gap target (1e-7, 1e-6) looser than the requested gap, with both
+residuals at most max(feas, target); if it stalls short of the requested gap
+without a certificate, it returns the tightest kept iterate as OPTIMAL, and
+`SdpSolution.gap_target` records the gap the returned solution met.
+
 Every constraint is stored as (row, block, r, c, value) triplets.  Rows
 arrive one at a time through `SdpProblem.add_constraint`, or all at once from
 the LMI layer (`LmiBuilder`), which phrases problems as
@@ -71,6 +77,12 @@ class SdpTolerances:
     feas: float = 1e-8         # relative primal/dual residuals
     max_iter: int = 200
     cert: float = 1e-9         # quality required of an infeasibility certificate
+
+
+#: Fallback gap targets of a stalled run, tightest first (module docstring).
+_FALLBACK_GAPS = (1e-7, 1e-6)
+#: Iterations a run goes on for after keeping its tightest fallback iterate.
+_FALLBACK_PATIENCE = 12
 
 
 class SdpProblem:
@@ -190,6 +202,7 @@ class SdpSolution:
     min_eig_slack: float | None = None
     certificate: dict | None = None
     message: str = ""
+    gap_target: float | None = None    # the relative gap the result met
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +381,6 @@ def _make_solver(big: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             return lambda r: sla.cho_solve(cho, r, check_finite=False)
         except np.linalg.LinAlgError:
             continue
-        except sla.LinAlgError:  # pragma: no cover - scipy alias
-            continue
     vals, vecs = np.linalg.eigh(big)
     inv = np.where(vals > 1e-14 * max(vals[-1], 1e-300), 1.0 / vals, 0.0)
     return lambda r: vecs @ (inv * (vecs.T @ r))
@@ -385,6 +396,7 @@ class _RawResult:
     kappa: float
     iterations: int
     message: str
+    gap_target: float | None
 
 
 def _step(scals: list[_Scal], dx_b, ds_b, tau, kap, dtau, dkap,
@@ -416,7 +428,8 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
     status, msg = None, ""
     it = 0
     stall = 0
-    rescues = 10
+    rungs = [g for g in _FALLBACK_GAPS if g > tol.gap]
+    kept = {}   # rung -> first iterate meeting it: (x, y, s, tau, kappa, it)
 
     def try_certificates(quality: float) -> SdpStatus | None:
         by = float(b @ y)
@@ -453,6 +466,12 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             if pres <= tol.feas and dres <= tol.feas and gap <= tol.gap:
                 status, msg = SdpStatus.OPTIMAL, "converged"
                 break
+            for g in rungs:
+                if gap <= g and max(pres, dres) <= max(tol.feas, g):
+                    kept.setdefault(g, (list(xb), y, list(sb), tau, kap, it))
+        if rungs and rungs[0] in kept \
+                and it - kept[rungs[0]][-1] >= _FALLBACK_PATIENCE:
+            break
 
         cert = try_certificates(tol.cert)
         if cert is not None:
@@ -501,12 +520,9 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         # combined (corrector) direction
-        us = []
-        for j in range(nb):
-            cross = _herm(dxt_a[j] @ dst_a[j])
-            t = sigma * mu * np.eye(rc.dims[j]) - scals[j].lam @ scals[j].lam \
-                - cross
-            us.append(_lyap(scals[j], _herm(t)))
+        us = [_lyap(sc, _herm(sigma * mu * np.eye(d) - sc.lam @ sc.lam
+                              - _herm(dxt @ dst)))
+              for sc, d, dxt, dst in zip(scals, rc.dims, dxt_a, dst_a)]
         f = 1.0 - sigma
         dx, dy, ds, dta2, dka2 = directions(
             -f * rp, -f * rd, -f * rg,
@@ -515,28 +531,10 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         step, _, _ = _step(scals, dx_b, ds_b, tau, kap, dta2, dka2,
                            1.0 / 0.98, 0.98)
 
-        if step < 1e-8 and rescues > 0:
-            # corrector stalled: fall back to a damped pure-centering step
-            # (unchanged residuals, target the central path at the current
-            # mu), which usually restores step lengths on the next sweep
-            rescues -= 1
-            us_c = [_lyap(scals[j],
-                          _herm(mu * np.eye(rc.dims[j])
-                               - scals[j].lam @ scals[j].lam))
-                    for j in range(nb)]
-            dx, dy, ds, dta2, dka2 = directions(
-                0.0 * rp, 0.0 * rd, 0.0, mu - tau * kap, us_c)
-            dx_b, ds_b = rc.unvec(dx), rc.unvec(ds)
-            step, _, _ = _step(scals, dx_b, ds_b, tau, kap, dta2, dka2,
-                               1.0 / 0.9, 0.9)
-
-        if step < 1e-8:
-            stall += 1
-            if stall >= 3:
-                msg = "step size collapsed"
-                break
-        else:
-            stall = 0
+        stall = stall + 1 if step < 1e-8 else 0
+        if stall >= 3:
+            msg = "step size collapsed"
+            break
 
         for j in range(nb):
             xb[j] = _herm(xb[j] + step * dx_b[j])
@@ -545,14 +543,21 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         tau += step * dta2
         kap += step * dka2
 
+    target = tol.gap if status is SdpStatus.OPTIMAL else None
     if status is None:
         cert = try_certificates(1e-7)
         if cert is not None:
             status, msg = cert, "certificate found after iteration limit"
+        elif kept:
+            target = min(kept)
+            xb, y, sb, tau, kap, it = kept[target]
+            status = SdpStatus.OPTIMAL
+            msg = (f"stalled; returned the iterate of iteration {it} "
+                   f"at gap target {target:g}")
         else:
             status = SdpStatus.NUMERICAL_FAILURE
             msg = msg or "iteration limit reached"
-    return _RawResult(status, xb, y, sb, tau, kap, it, msg)
+    return _RawResult(status, xb, y, sb, tau, kap, it, msg, target)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +583,7 @@ def solve(problem: SdpProblem,
                                  1.0 + float(np.linalg.norm(c))))
 
     sol = SdpSolution(status=raw.status, iterations=raw.iterations,
-                      message=raw.message)
+                      message=raw.message, gap_target=raw.gap_target)
     if raw.status is SdpStatus.OPTIMAL:
         tau = raw.tau
         sol.primal_blocks = [sb * blk / tau for blk in raw.x]

@@ -467,13 +467,15 @@ class TestScreenedSearchPopulation:
                 assert np.array_equal(e, e_ref)
 
     def _counted(self, monkeypatch):
+        # message counts of the exact evaluations (`evaluate_code` and the
+        # search both evaluate through `codes._performance`)
         seen = []
-        real = codes.evaluate_code
+        real = codes._performance
 
         def counting(code, *args, **kwargs):
             seen.append(code.m)
             return real(code, *args, **kwargs)
-        monkeypatch.setattr(codes, "evaluate_code", counting)
+        monkeypatch.setattr(codes, "_performance", counting)
         return seen
 
     def test_undecided_candidate_reaches_evaluation(self, monkeypatch):

@@ -303,6 +303,24 @@ def test_tolerances_respected():
     assert relt <= 1e-9
 
 
+def test_unreachable_gap_returns_the_fallback_iterate():
+    """A gap below rounding stalls; the run returns the first iterate that
+    met the tightest fallback target, bit for bit what a solve at that
+    target returns."""
+    prob = strictly_feasible_sdp(np.random.default_rng(13))
+    stalled = solve(prob, SdpTolerances(gap=1e-16, feas=1e-16))
+    direct = solve(prob, SdpTolerances(gap=1e-7, feas=1e-7))
+    assert stalled.status is SdpStatus.OPTIMAL, stalled.message
+    assert stalled.gap_target == 1e-7
+    assert direct.gap_target == 1e-7
+    assert stalled.iterations == direct.iterations
+    assert stalled.dual_value == direct.dual_value
+    assert stalled.primal_value == direct.primal_value
+    assert np.array_equal(stalled.dual_y, direct.dual_y)
+    for a, b in zip(stalled.primal_blocks, direct.primal_blocks, strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_schur_matches_dense_trace_formula(monkeypatch):
     """Schur complement tr(A_i W A_k W) against dense products of the
     compiled rows, with one assembly chunk and with chunks of a few rows."""

@@ -137,7 +137,7 @@ class TestProgramEquivalence:
 
     def test_zero_weight_irrep_solves_without_retry(self, monkeypatch):
         # rank 2 at n = 3: no weight on the antisymmetric irrep; with its
-        # T variable kept, this state stalled and needed the relaxed retry
+        # T variable kept, this state stalled short of the default gap
         fixed = np.random.default_rng(15)
         random_density((2, 2), fixed, rank=2)
         rho = random_density((2, 2), fixed, rank=2)
@@ -145,13 +145,14 @@ class TestProgramEquivalence:
 
         def counted(problem, tolerances=None):
             sol = sdp_solve(problem, tolerances)
-            solves.append((problem.num_constraints, tolerances, sol.status))
+            solves.append((problem.num_constraints, tolerances, sol.status,
+                           sol.gap_target))
             return sol
 
         sdp_solve = sdp.solve
         monkeypatch.setattr(sdp, "solve", counted)
         value = h_min_smooth_power(rho, 3, 0.25)
-        assert solves == [(860, None, SdpStatus.OPTIMAL)]
+        assert solves == [(860, None, SdpStatus.OPTIMAL, 1e-8)]
         assert value >= 3 * h_min(EntropyQuery(rho, (0,), (1,))) - 1e-6
 
     def test_single_copy_delegates(self, rng):

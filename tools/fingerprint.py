@@ -10,8 +10,12 @@ workload's operations with BLAS on one thread, and prints one JSON object
 per SDP solve: the operation and the solve's index within it, m, the block
 dims, a hash of the compiled (A, b, c), a hash of the interior-point result
 (status, iterations, tau, kappa, y, X, S), the iteration count, the status,
-the gap target, whether the retry ladder relaxed it (the same program
-solved again in the operation at a larger gap target) and the dual value.
+the requested gap, the gap target the returned iterate met, whether the
+solve was relaxed and the dual value.  A solve counts as relaxed when it
+met a gap target larger than the one requested (a stalled run that returned
+a fallback iterate), or when it re-solves a program of the same operation
+at a larger requested gap (the retry of a checkout that solves a stalled
+program again).
 ``sdp.solve``, ``SdpProblem.compile`` and ``sdp._ipm`` are wrapped from
 outside the package, the way ``benchmarks/tracing.py`` wraps its layers;
 nothing in the package or the benchmark changes.
@@ -88,6 +92,9 @@ class Recorder:
                 sol = solve(problem, tolerances)
             finally:
                 self._current = None
+            met = getattr(sol, "gap_target", None)
+            rec["gap_target"] = met
+            rec["relaxed"] |= met is not None and met > gap
             rec["value"] = sol.dual_value
             self.records.append(rec)
             return sol
