@@ -27,8 +27,7 @@ from .quantum import (DensityOperator, Isometry, QuantumChannel,
                       ValidationError, basis_state, channel_from_choi,
                       classical_state, product_state, pure_state,
                       random_channel, random_pure, trace_norm)
-from .sdp import (SdpError, SdpProblem, SdpStatus, SdpTolerances,
-                  herm_equality_rows, solve)
+from .sdp import SdpError, SdpProblem, SdpStatus, herm_equality_rows, solve
 
 __all__ = [
     "CqqWiretapChannel",
@@ -115,9 +114,7 @@ class DegradedStructure:
     choi: np.ndarray = field(repr=False, default=None)
 
 
-def check_degraded(channel: CqqWiretapChannel,
-                   tolerances: SdpTolerances | None = None,
-                   eig_cutoff: float = 1e-10) -> DegradedStructure | None:
+def check_degraded(channel: CqqWiretapChannel) -> DegradedStructure | None:
     """Find a degrading map, or certify that none exists.
 
     Solves the feasibility problem over Choi matrices  J >= 0  with
@@ -142,7 +139,7 @@ def check_degraded(channel: CqqWiretapChannel,
         for e, rhs in rows[:-1]:
             prob.add_constraint({0: np.kron(rho_bt, e)}, rhs)
 
-    sol = solve(prob, tolerances)
+    sol = solve(prob)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return None
     if sol.status is not SdpStatus.OPTIMAL:
@@ -151,7 +148,7 @@ def check_degraded(channel: CqqWiretapChannel,
             f"({sol.message})")
 
     choi = sol.primal_blocks[0]
-    degrading = channel_from_choi(choi, db, de, eig_cutoff=eig_cutoff)
+    degrading = channel_from_choi(choi, db, de)
     return _measured_structure(channel, degrading, choi)
 
 

@@ -79,12 +79,16 @@ def _cmd_capacity(args) -> int:
     return 0
 
 
-def _split_groups(dims: tuple[int, ...], split: str) -> tuple[tuple, tuple]:
+def _ints(text: str, flag: str) -> list[int]:
     try:
-        counts = [int(c) for c in split.split(",")]
+        return [int(c) for c in text.split(",")]
     except ValueError:
-        raise ValidationError(f"--split {split!r} is not comma-separated "
+        raise ValidationError(f"{flag} {text!r} is not comma-separated "
                               f"integers") from None
+
+
+def _split_groups(dims: tuple[int, ...], split: str) -> tuple[tuple, tuple]:
+    counts = _ints(split, "--split")
     if len(counts) not in (2, 3) or any(c < 1 for c in counts):
         raise ValidationError("--split needs 2 or 3 positive group sizes")
     if sum(counts) != len(dims):
@@ -112,8 +116,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    dims = tuple(int(c) for c in args.dims.split(","))
-    rows = run_harness(trials=args.trials, seed=args.seed, dims=dims)
+    rows = run_harness(trials=args.trials, seed=args.seed,
+                       dims=_ints(args.dims, "--dims"))
     failures = [(s, r) for s, r in rows if not r.holds]
     for row_seed, rep in failures:
         print(f"FAIL {rep.rule} seed={row_seed} params={rep.params_text()} "

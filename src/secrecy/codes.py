@@ -36,7 +36,7 @@ import numpy as np
 from .channels import CqqWiretapChannel
 from .entropy import _RANK_CUTOFF, _support_factors, _trace_row
 from .quantum import DensityOperator, ValidationError, fidelity
-from .sdp import (LmiBuilder, SdpError, SdpProblem, SdpStatus, SdpTolerances,
+from .sdp import (LmiBuilder, SdpError, SdpProblem, SdpStatus,
                   herm_equality_rows, solve)
 
 __all__ = [
@@ -69,6 +69,9 @@ _POVM_TOL = 1e-8
 # a search screen rejects only beyond this distance from a target, which
 # covers the semidefinite path's own error
 _SCREEN_MARGIN = 1e-6
+
+# slack of the search's admissibility test eps* <= eps, delta* <= delta
+_SEARCH_TOL = 1e-9
 
 
 def _budget() -> int:
@@ -348,8 +351,7 @@ def _privacy_fixed(eve_states: list[np.ndarray]) -> float:
     return math.sqrt(max(0.0, 1.0 - min(1.0, f) ** 2))
 
 
-def _privacy_optimized(eve_states: list[np.ndarray],
-                       tolerances: SdpTolerances | None) -> float:
+def _privacy_optimized(eve_states: list[np.ndarray]) -> float:
     """Smallest purified distance of the message/eavesdropper state from any
     uncorrelated product, by semidefinite programming.
 
@@ -388,7 +390,7 @@ def _privacy_optimized(eve_states: list[np.ndarray],
     bld.add_const(cap, np.array([[1.0]], dtype=complex))
     bld.add_param_term(cap, *_trace_row(ref, -1.0))
     bld.minimize(obj)
-    sol = bld.build().solve(tolerances)
+    sol = bld.build().solve()
     if sol.value is None:
         raise SdpError(
             f"privacy reference program did not settle: "
@@ -404,8 +406,7 @@ def _check_mode(privacy_mode: str) -> None:
 
 
 def evaluate_code(code: WiretapCode, channel: CqqWiretapChannel,
-                  privacy_mode: str = "optimized",
-                  tolerances: SdpTolerances | None = None) -> CodePerformance:
+                  privacy_mode: str = "optimized") -> CodePerformance:
     """Exact transmission error and privacy leakage of a code.
 
     A decoder-less code is completed with its optimal decoding POVM first.
@@ -415,23 +416,23 @@ def evaluate_code(code: WiretapCode, channel: CqqWiretapChannel,
     """
     _check_mode(privacy_mode)
     return _performance(code, channel, encoder_output_states(code, channel),
-                        privacy_mode, tolerances)
+                        privacy_mode)
 
 
 def _performance(code: WiretapCode, channel: CqqWiretapChannel,
-                 states: list[DensityOperator], privacy_mode: str,
-                 tolerances: SdpTolerances | None) -> CodePerformance:
+                 states: list[DensityOperator],
+                 privacy_mode: str) -> CodePerformance:
     """``evaluate_code`` on the code's per-message block states."""
     bob = [s.partial_trace([0]).mat for s in states]
     if code.decoder is None and code.m > 1:
-        code = code.with_decoder(_synthesize(bob, tolerances)[0])
+        code = code.with_decoder(_synthesize(bob)[0])
     p = _decode_distribution(bob, _decoder(code, channel))
     eps_star = _transmission_error(p)
     eve = [s.partial_trace([1]).mat for s in states]
     if privacy_mode == "fixed":
         delta_star = _privacy_fixed(eve)
     else:
-        delta_star = _privacy_optimized(eve, tolerances)
+        delta_star = _privacy_optimized(eve)
     return CodePerformance(eps_star=eps_star, delta_star=delta_star,
                            privacy_mode=privacy_mode, rate=code.rate,
                            success_prob=float(np.trace(p)))
@@ -478,8 +479,7 @@ def _orthogonal_povm(bob: list[np.ndarray]) -> tuple[np.ndarray, ...] | None:
     return tuple(povm)
 
 
-def _discrimination_sdp(bob: list[np.ndarray],
-                        tolerances: SdpTolerances | None
+def _discrimination_sdp(bob: list[np.ndarray]
                         ) -> tuple[tuple[np.ndarray, ...], float]:
     """Discrimination program  max sum_u tr(E_u rho_u) / M  over POVMs, in
     primal standard form (one block per element, identity completion as
@@ -491,7 +491,7 @@ def _discrimination_sdp(bob: list[np.ndarray],
     for e, rhs in herm_equality_rows(np.eye(d)):
         prob.add_constraint({u: e for u in range(m)}, rhs)
 
-    sol = solve(prob, tolerances)
+    sol = solve(prob)
     if sol.status is not SdpStatus.OPTIMAL:
         raise SdpError(f"decoder synthesis did not settle: "
                        f"{sol.status.value} ({sol.message})")
@@ -506,8 +506,7 @@ def _discrimination_sdp(bob: list[np.ndarray],
     return povm, _success(povm, bob)
 
 
-def optimal_decoder(encoder: np.ndarray, channel: CqqWiretapChannel, n: int,
-                    tolerances: SdpTolerances | None = None
+def optimal_decoder(encoder: np.ndarray, channel: CqqWiretapChannel, n: int
                     ) -> tuple[tuple[np.ndarray, ...], float]:
     """POVM maximizing average decoding success for the encoder's output
     ensemble, with its success probability.
@@ -524,10 +523,10 @@ def optimal_decoder(encoder: np.ndarray, channel: CqqWiretapChannel, n: int,
     m = enc.shape[0]
     probe = WiretapCode(m, n, channel.size, enc)
     states = encoder_output_states(probe, channel)
-    return _synthesize([s.partial_trace([0]).mat for s in states], tolerances)
+    return _synthesize([s.partial_trace([0]).mat for s in states])
 
 
-def _synthesize(bob: list[np.ndarray], tolerances: SdpTolerances | None
+def _synthesize(bob: list[np.ndarray]
                 ) -> tuple[tuple[np.ndarray, ...], float]:
     """``optimal_decoder`` on the receiver's per-message block states."""
     m = len(bob)
@@ -539,7 +538,7 @@ def _synthesize(bob: list[np.ndarray], tolerances: SdpTolerances | None
     povm = _orthogonal_povm(bob)
     if povm is not None:
         return povm, _success(povm, bob)
-    return _discrimination_sdp(bob, tolerances)
+    return _discrimination_sdp(bob)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +577,6 @@ class SearchConfig:
     include_stochastic: bool = True
     stochastic_levels: int = 4
     privacy_mode: str = "optimized"
-    tol: float = 1e-9
 
 
 def _grid_rows(k: int, levels: int) -> list[tuple[float, ...]]:
@@ -656,8 +654,8 @@ def brute_force_M(channel: CqqWiretapChannel, n: int, eps: float,
         raise ValidationError("eps and delta must lie in [0, 1]")
     _check_mode(cfg.privacy_mode)
     k = channel.size ** n
-    eps_cap = eps + cfg.tol + _SCREEN_MARGIN
-    delta_cap = delta + cfg.tol + _SCREEN_MARGIN
+    eps_cap = eps + _SEARCH_TOL + _SCREEN_MARGIN
+    delta_cap = delta + _SEARCH_TOL + _SCREEN_MARGIN
     best_m, witness, cache = 0, None, None
     for m in range(1, cfg.m_max + 1):
         candidates = [np.eye(k)[list(words)] for words in
@@ -679,10 +677,10 @@ def brute_force_M(channel: CqqWiretapChannel, n: int, eps: float,
                     or _privacy_bound([s.partial_trace([1]).mat
                                        for s in states]) > delta_cap:
                 continue
-            code = code.with_decoder(_synthesize(bob, None)[0])
-            perf = _performance(code, channel, states, cfg.privacy_mode, None)
-            if perf.eps_star <= eps + cfg.tol \
-                    and perf.delta_star <= delta + cfg.tol:
+            code = code.with_decoder(_synthesize(bob)[0])
+            perf = _performance(code, channel, states, cfg.privacy_mode)
+            if perf.eps_star <= eps + _SEARCH_TOL \
+                    and perf.delta_star <= delta + _SEARCH_TOL:
                 best_m, witness = m, code
                 break
     return best_m, witness

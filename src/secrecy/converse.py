@@ -52,7 +52,6 @@ from .entropy import EntropyQuery, _support_floor, h_max_smooth, h_min_smooth
 from .lemmas import InequalityReport
 from .quantum import (DensityOperator, ValidationError, apply_isometry,
                       cq_state, trace_norm)
-from .sdp import SdpTolerances
 
 __all__ = [
     "OutsideConverseRegion",
@@ -194,8 +193,8 @@ def _message_marginal_states(code: WiretapCode, channel: CqqWiretapChannel,
     return cq_state(probs, [s.partial_trace([keep]) for s in states])
 
 
-def trivial_converse_bound(code: WiretapCode, channel: CqqWiretapChannel,
-                           tolerances: SdpTolerances | None = None) -> float:
+def trivial_converse_bound(code: WiretapCode,
+                           channel: CqqWiretapChannel) -> float:
     """One-shot upper bound  H_min^{delta*}(U|E^n) - H_max^{eps*}(U|B^n)
     on log2 M, evaluated at the code's own measured figures of merit.
 
@@ -205,13 +204,13 @@ def trivial_converse_bound(code: WiretapCode, channel: CqqWiretapChannel,
     degenerate; the cap only ever shrinks a smoothing ball, and it is
     unreachable for codes completed with their optimal decoders.
     """
-    perf = evaluate_code(code, channel, "optimized", tolerances)
+    perf = evaluate_code(code, channel, "optimized")
     eps = min(perf.eps_star, _SMOOTH_CAP)
     delta = min(perf.delta_star, _SMOOTH_CAP)
     rho_ue = _message_marginal_states(code, channel, 1)
     rho_ub = _message_marginal_states(code, channel, 0)
-    hmin = h_min_smooth(EntropyQuery(rho_ue, (0,), (1,), delta), tolerances)
-    hmax = h_max_smooth(EntropyQuery(rho_ub, (0,), (1,), eps), tolerances)
+    hmin = h_min_smooth(EntropyQuery(rho_ue, (0,), (1,), delta))
+    hmax = h_max_smooth(EntropyQuery(rho_ub, (0,), (1,), eps))
     return hmin - hmax
 
 
@@ -259,8 +258,7 @@ def _chain_state(code: WiretapCode, channel: CqqWiretapChannel,
 
 
 def audit_privacy_bound_chain(code: WiretapCode, channel: CqqWiretapChannel,
-                              structure: DegradedStructure, eta: float,
-                              tolerances: SdpTolerances | None = None
+                              structure: DegradedStructure, eta: float
                               ) -> list[InequalityReport]:
     """Verify every inequality the degraded-channel converse chains together,
     on the code's actual states, at its measured figures of merit.
@@ -287,9 +285,9 @@ def audit_privacy_bound_chain(code: WiretapCode, channel: CqqWiretapChannel,
        log2 M <= H_max^{eta}(F^n|E'^n) - H_max^{lambda}(F^n|E'^n X^n)
        + 4 log2(2/eta^2).
     """
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValidationError("chain parameter eta must be positive")
-    perf = evaluate_code(code, channel, "optimized", tolerances)
+    perf = evaluate_code(code, channel, "optimized")
     eps, delta = perf.eps_star, perf.delta_star
     lam = eps + 2.0 * delta + 5.0 * eta
     kappa = eps + 3.0 * eta
@@ -307,20 +305,13 @@ def audit_privacy_bound_chain(code: WiretapCode, channel: CqqWiretapChannel,
     rho_ef = omega.partial_trace([2, 3])
     rho_xef = omega.partial_trace([1, 2, 3])
 
-    hmin_u_e = h_min_smooth(EntropyQuery(rho_ue, (0,), (1,), delta),
-                            tolerances)
-    hmin_u_ep = h_min_smooth(EntropyQuery(rho_uep, (0,), (1,), delta),
-                             tolerances)
-    hmax_u_epf = h_max_smooth(EntropyQuery(rho_uef, (0,), (1, 2), eps),
-                              tolerances)
-    hmax_joint = h_max_smooth(EntropyQuery(rho_uef, (0, 2), (1,), kappa),
-                              tolerances)
-    hmax_f_ep = h_max_smooth(EntropyQuery(rho_ef, (1,), (0,), eta),
-                             tolerances)
-    hmax_f_epu = h_max_smooth(EntropyQuery(rho_uef, (2,), (0, 1), lam),
-                              tolerances)
-    hmax_f_epx = h_max_smooth(EntropyQuery(rho_xef, (2,), (0, 1), lam),
-                              tolerances)
+    hmin_u_e = h_min_smooth(EntropyQuery(rho_ue, (0,), (1,), delta))
+    hmin_u_ep = h_min_smooth(EntropyQuery(rho_uep, (0,), (1,), delta))
+    hmax_u_epf = h_max_smooth(EntropyQuery(rho_uef, (0,), (1, 2), eps))
+    hmax_joint = h_max_smooth(EntropyQuery(rho_uef, (0, 2), (1,), kappa))
+    hmax_f_ep = h_max_smooth(EntropyQuery(rho_ef, (1,), (0,), eta))
+    hmax_f_epu = h_max_smooth(EntropyQuery(rho_uef, (2,), (0, 1), lam))
+    hmax_f_epx = h_max_smooth(EntropyQuery(rho_xef, (2,), (0, 1), lam))
     state_gap = trace_norm(rho_ue.mat - rho_uep.mat)
 
     base = {"eps": eps, "delta": delta, "eta": eta}
@@ -402,8 +393,8 @@ def finite_n_terms(channel: CqqWiretapChannel, structure: DegradedStructure,
     if n < 1:
         raise ValidationError("block length n must be a positive integer")
     eps, delta = float(eps), float(delta)
-    if eps < 0.0 or delta < 0.0:
-        raise ValidationError("eps and delta must be nonnegative")
+    if not (0.0 <= eps < math.inf and 0.0 <= delta < math.inf):
+        raise ValidationError("eps and delta must be finite and nonnegative")
     s = 1.0 - eps - 2.0 * delta
     if s <= 0.0:
         raise OutsideConverseRegion(eps, delta)

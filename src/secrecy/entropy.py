@@ -67,8 +67,7 @@ import numpy as np
 
 from .quantum import (DensityOperator, ValidationError, conditional_entropy,
                       purify)
-from .sdp import (LmiBuilder, LmiSolution, SdpError, SdpTolerances, VarRef,
-                  herm_basis)
+from .sdp import LmiBuilder, LmiSolution, SdpError, VarRef, herm_basis
 
 __all__ = [
     "EntropyQuery",
@@ -141,14 +140,14 @@ def _require_exact(query: EntropyQuery, name: str) -> None:
             f"for eps > 0")
 
 
-def _solved(program, tolerances) -> LmiSolution:
+def _solved(program) -> LmiSolution:
     """Solve once; raise unless the program reached optimality.
 
     A run that stalls returns its iterate at a fallback gap target of at
     most 1e-6 (recorded as ``sol.sdp.gap_target``), an order below every
     tolerance asserted on entropy values downstream.
     """
-    sol = program.solve(tolerances)
+    sol = program.solve()
     if sol.value is None:
         raise SdpError(f"entropy SDP did not reach optimality: "
                        f"{sol.sdp.status.value} ({sol.sdp.message})")
@@ -290,32 +289,29 @@ def _smooth_program(rblocks: Sequence[np.ndarray],
 def _hmin_blocks(rblocks: Sequence[np.ndarray],
                  stacks: Sequence[Sequence[np.ndarray]],
                  sweights: Sequence[float], tweights: Sequence[float],
-                 eps: float, tolerances: SdpTolerances | None) -> float:
+                 eps: float) -> float:
     """-log2 of the optimum of the exact program, or of the smoothing
     program once eps reaches _EPS_COLLAPSE."""
     if eps < _EPS_COLLAPSE:
         program = _hmin_program(rblocks, stacks, sweights)
     else:
         program = _smooth_program(rblocks, stacks, sweights, tweights, eps)
-    sol = _solved(program, tolerances)
+    sol = _solved(program)
     if sol.value <= 0:
         raise SdpError("nonpositive conditioner mass in min-entropy SDP")
     return -math.log2(sol.value)
 
 
-def _hmin_generic(rho: np.ndarray, da: int, db: int, eps: float,
-                  tolerances: SdpTolerances | None) -> float:
+def _hmin_generic(rho: np.ndarray, da: int, db: int, eps: float) -> float:
     """H_min^eps(A|B) of rho on A x B: the one-block programs."""
-    return _hmin_blocks([rho], [[_lifted_basis(da, db)]], [1], [1], eps,
-                        tolerances)
+    return _hmin_blocks([rho], [[_lifted_basis(da, db)]], [1], [1], eps)
 
 
 # ---------------------------------------------------------------------------
 # Entropies
 # ---------------------------------------------------------------------------
 
-def _hmax_direct(rho: np.ndarray, da: int, db: int,
-                 tolerances: SdpTolerances | None):
+def _hmax_direct(rho: np.ndarray, da: int, db: int):
     """max 2 log2 F(rho, 1 (x) sigma) over tr sigma <= 1, on rho's support."""
     big, vee = _support_factors([rho])[0]
     r = big.shape[0]
@@ -336,23 +332,21 @@ def _hmax_direct(rho: np.ndarray, da: int, db: int,
     bld.add_const(cap, np.array([[1.0]]))
     bld.add_param_term(cap, *_trace_row(sig, -1.0))
     bld.minimize([(p, -w) for p, w in x.trace_real_coeffs()])
-    sol = _solved(bld.build(), tolerances)
+    sol = _solved(bld.build())
     froot = -sol.value
     if froot <= 0:
         raise SdpError("nonpositive fidelity optimum in max-entropy SDP")
     return 2.0 * math.log2(froot), sol
 
 
-def h_min(query: EntropyQuery,
-          tolerances: SdpTolerances | None = None) -> float:
+def h_min(query: EntropyQuery) -> float:
     """Conditional min-entropy H_min(A|B) of the queried split."""
     _require_exact(query, "h_min")
     rho, da, db = query.reduced()
-    return _hmin_generic(rho, da, db, 0.0, tolerances)
+    return _hmin_generic(rho, da, db, 0.0)
 
 
-def h_max(query: EntropyQuery, tolerances: SdpTolerances | None = None,
-          cross_check: bool = False) -> float:
+def h_max(query: EntropyQuery, cross_check: bool = False) -> float:
     """Conditional max-entropy H_max(A|B), computed through a purification.
 
     With ``cross_check=True`` the independent direct fidelity program is run
@@ -360,9 +354,9 @@ def h_max(query: EntropyQuery, tolerances: SdpTolerances | None = None,
     """
     _require_exact(query, "h_max")
     rho, da, db = query.reduced()
-    value = _hmax_by_duality(rho, da, db, 0.0, tolerances)
+    value = _hmax_by_duality(rho, da, db, 0.0)
     if cross_check:
-        direct, _ = _hmax_direct(rho, da, db, tolerances)
+        direct, _ = _hmax_direct(rho, da, db)
         if abs(direct - value) > 1e-5:
             raise SdpError(
                 f"max-entropy paths disagree: duality {value:.8f} vs "
@@ -370,26 +364,23 @@ def h_max(query: EntropyQuery, tolerances: SdpTolerances | None = None,
     return value
 
 
-def _hmax_by_duality(rho: np.ndarray, da: int, db: int, eps: float,
-                     tolerances: SdpTolerances | None) -> float:
+def _hmax_by_duality(rho: np.ndarray, da: int, db: int, eps: float) -> float:
     """-H_min^eps(A|C) on the A,C marginal of a purification of rho_AB."""
     psi = purify(DensityOperator(rho, (da, db), validate=False))
     rho_ac = psi.partial_trace([0, 2])
-    return -_hmin_generic(rho_ac.mat, da, rho_ac.dims[1], eps, tolerances)
+    return -_hmin_generic(rho_ac.mat, da, rho_ac.dims[1], eps)
 
 
-def h_min_smooth(query: EntropyQuery,
-                 tolerances: SdpTolerances | None = None) -> float:
+def h_min_smooth(query: EntropyQuery) -> float:
     """Smoothed min-entropy: best H_min(A|B) within purified distance eps."""
     rho, da, db = query.reduced()
-    return _hmin_generic(rho, da, db, query.eps, tolerances)
+    return _hmin_generic(rho, da, db, query.eps)
 
 
-def h_max_smooth(query: EntropyQuery,
-                 tolerances: SdpTolerances | None = None) -> float:
+def h_max_smooth(query: EntropyQuery) -> float:
     """Smoothed max-entropy, as -H_min^eps(A|C) through a purification."""
     rho, da, db = query.reduced()
-    return _hmax_by_duality(rho, da, db, query.eps, tolerances)
+    return _hmax_by_duality(rho, da, db, query.eps)
 
 
 # ---------------------------------------------------------------------------

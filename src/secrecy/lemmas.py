@@ -44,7 +44,6 @@ from .quantum import DensityOperator, ValidationError, conditional_entropy, \
     random_density, random_unitary
 from .entropy import EntropyQuery, aep_bounds, h_min_smooth, h_max_smooth
 from .symmetry import h_max_smooth_power, h_min_smooth_power
-from .sdp import SdpTolerances
 
 __all__ = [
     "CHECK_TOL",
@@ -88,12 +87,12 @@ class InequalityReport:
         return ";".join(parts)
 
 
-def _hmin(state, a, b, eps, tol):
-    return h_min_smooth(EntropyQuery(state, tuple(a), tuple(b), eps), tol)
+def _hmin(state, a, b, eps):
+    return h_min_smooth(EntropyQuery(state, tuple(a), tuple(b), eps))
 
 
-def _hmax(state, a, b, eps, tol):
-    return h_max_smooth(EntropyQuery(state, tuple(a), tuple(b), eps), tol)
+def _hmax(state, a, b, eps):
+    return h_max_smooth(EntropyQuery(state, tuple(a), tuple(b), eps))
 
 
 def _need(params: dict, *keys) -> list[float]:
@@ -112,78 +111,78 @@ def _check_eps(*values) -> None:
                 f"smoothing parameter {v} outside [0, 1)")
 
 
-def _data_processing_min(state, params, tol):
+def _data_processing_min(state, params):
     (eps,) = _need(params, "eps")
     _check_eps(eps)
-    lhs = _hmin(state, (0,), (1, 2), eps, tol)
-    rhs = _hmin(state, (0,), (1,), eps, tol)
+    lhs = _hmin(state, (0,), (1, 2), eps)
+    rhs = _hmin(state, (0,), (1,), eps)
     return lhs, rhs, {"eps": eps}
 
 
-def _data_processing_max(state, params, tol):
+def _data_processing_max(state, params):
     (eps,) = _need(params, "eps")
     _check_eps(eps)
-    lhs = _hmax(state, (0,), (1, 2), eps, tol)
-    rhs = _hmax(state, (0,), (1,), eps, tol)
+    lhs = _hmax(state, (0,), (1, 2), eps)
+    rhs = _hmax(state, (0,), (1,), eps)
     return lhs, rhs, {"eps": eps}
 
 
 _LOG2_OVER = lambda eta: math.log2(2.0 / (eta * eta))
 
 
-def _chain_max_upper(state, params, tol):
+def _chain_max_upper(state, params):
     eps, delta, eta = _need(params, "eps", "delta", "eta")
     if eta <= 0:
         raise ValidationError("eta must be positive")
     _check_eps(eps, delta, eps + 2 * delta + eta)
-    lhs = _hmax(state, (0, 1), (2,), eps + 2 * delta + eta, tol)
-    rhs = _hmax(state, (1,), (2,), delta, tol) \
-        + _hmax(state, (0,), (1, 2), eps, tol) + _LOG2_OVER(eta)
+    lhs = _hmax(state, (0, 1), (2,), eps + 2 * delta + eta)
+    rhs = _hmax(state, (1,), (2,), delta) \
+        + _hmax(state, (0,), (1, 2), eps) + _LOG2_OVER(eta)
     return lhs, rhs, {"eps": eps, "delta": delta, "eta": eta}
 
 
-def _chain_max_lower(state, params, tol):
+def _chain_max_lower(state, params):
     eps, delta, eta = _need(params, "eps", "delta", "eta")
     if eta <= 0:
         raise ValidationError("eta must be positive")
     _check_eps(eps, delta, eps + 2 * delta + 2 * eta)
-    lhs = _hmin(state, (1,), (2,), delta, tol) \
-        + _hmax(state, (0,), (1, 2), eps + 2 * delta + 2 * eta, tol) \
+    lhs = _hmin(state, (1,), (2,), delta) \
+        + _hmax(state, (0,), (1, 2), eps + 2 * delta + 2 * eta) \
         - 3 * _LOG2_OVER(eta)
-    rhs = _hmax(state, (0, 1), (2,), eps, tol)
+    rhs = _hmax(state, (0, 1), (2,), eps)
     return lhs, rhs, {"eps": eps, "delta": delta, "eta": eta}
 
 
-def _min_max_conversion(state, params, tol):
+def _min_max_conversion(state, params):
     if "alpha" in params or "beta" in params:
         alpha, beta = _need(params, "alpha", "beta")
         if alpha < 0 or beta < 0 or alpha + beta >= math.pi / 2:
             raise ValidationError("angles need alpha, beta >= 0 and "
                                   "alpha + beta < pi/2")
-        lhs = _hmin(state, (0,), (1,), math.sin(alpha), tol)
-        rhs = _hmax(state, (0,), (1,), math.sin(beta), tol) \
+        lhs = _hmin(state, (0,), (1,), math.sin(alpha))
+        rhs = _hmax(state, (0,), (1,), math.sin(beta)) \
             + math.log2(1.0 / math.cos(alpha + beta) ** 2)
         return lhs, rhs, {"alpha": alpha, "beta": beta}
     eps, delta = _need(params, "eps", "delta")
     _check_eps(eps, delta)
     if eps + delta >= 1:
         raise ValidationError("conversion needs eps + delta < 1")
-    lhs = _hmin(state, (0,), (1,), eps, tol)
-    rhs = _hmax(state, (0,), (1,), delta, tol) \
+    lhs = _hmin(state, (0,), (1,), eps)
+    rhs = _hmax(state, (0,), (1,), delta) \
         + math.log2(1.0 / (1.0 - (eps + delta) ** 2))
     return lhs, rhs, {"eps": eps, "delta": delta}
 
 
-def _max_min_conversion(state, params, tol):
+def _max_min_conversion(state, params):
     (delta,) = _need(params, "delta")
     if not 0.0 < delta < 1.0:
         raise ValidationError("conversion needs delta strictly inside (0, 1)")
-    lhs = _hmax(state, (0,), (1,), delta, tol)
-    rhs = _hmin(state, (0,), (1,), 1.0 - delta * delta / 4.0, tol)
+    lhs = _hmax(state, (0,), (1,), delta)
+    rhs = _hmin(state, (0,), (1,), 1.0 - delta * delta / 4.0)
     return lhs, rhs, {"delta": delta}
 
 
-def _quasi_concavity(state, params, tol):
+def _quasi_concavity(state, params):
     (eps,) = _need(params, "eps")
     _check_eps(eps)
     mix = params.get("mix")
@@ -205,12 +204,12 @@ def _quasi_concavity(state, params, tol):
         local = np.kron(u, v)
         mixed = mixed + float(p) * (local @ state.mat @ local.conj().T)
     eps_hat = eps * math.sqrt(2.0 - eps * eps)
-    lhs = _hmax(state, (0,), (1,), eps_hat, tol)
-    rhs = _hmax(DensityOperator(mixed, state.dims), (0,), (1,), eps, tol)
+    lhs = _hmax(state, (0,), (1,), eps_hat)
+    rhs = _hmax(DensityOperator(mixed, state.dims), (0,), (1,), eps)
     return lhs, rhs, {"eps": eps}
 
 
-def _aep_width_sides(state, params, tol):
+def _aep_width_sides(state, params):
     eps, n = _need(params, "eps", "n")
     n = int(n)
     if not 0.0 < eps < 1.0:
@@ -219,15 +218,15 @@ def _aep_width_sides(state, params, tol):
     return n, eps, lo, hi
 
 
-def _aep_min(state, params, tol):
-    n, eps, lo, _ = _aep_width_sides(state, params, tol)
-    rhs = h_min_smooth_power(state, n, eps, tol)
+def _aep_min(state, params):
+    n, eps, lo, _ = _aep_width_sides(state, params)
+    rhs = h_min_smooth_power(state, n, eps)
     return lo, rhs, {"eps": eps, "n": n}
 
 
-def _aep_max(state, params, tol):
-    n, eps, _, hi = _aep_width_sides(state, params, tol)
-    lhs = h_max_smooth_power(state, n, eps, tol)
+def _aep_max(state, params):
+    n, eps, _, hi = _aep_width_sides(state, params)
+    lhs = h_max_smooth_power(state, n, eps)
     return lhs, hi, {"eps": eps, "n": n}
 
 
@@ -248,9 +247,8 @@ RULES: tuple[str, ...] = tuple(_REGISTRY)
 _DIM_CAP = 3
 
 
-def verify_inequality(rule: str, state: DensityOperator, params: dict,
-                      tolerances: SdpTolerances | None = None
-                      ) -> InequalityReport:
+def verify_inequality(rule: str, state: DensityOperator,
+                      params: dict) -> InequalityReport:
     """Evaluate both sides of a named inequality on a concrete state."""
     if rule not in _REGISTRY:
         raise ValidationError(
@@ -259,7 +257,7 @@ def verify_inequality(rule: str, state: DensityOperator, params: dict,
         raise ValidationError(
             f"subsystem dimensions are capped at {_DIM_CAP} "
             f"(SDP tractability)")
-    lhs, rhs, recorded = _REGISTRY[rule](state, params, tolerances)
+    lhs, rhs, recorded = _REGISTRY[rule](state, params)
     return InequalityReport(rule, float(lhs), float(rhs), recorded)
 
 
@@ -315,7 +313,6 @@ def _draw_instance(rule: str, seed: int, grid,
 
 def run_harness(rules: Sequence[str] | None = None, trials: int = 200,
                 seed: int = 0, grid: Sequence[float] = _GRID,
-                tolerances: SdpTolerances | None = None,
                 dims: Sequence[int] = (2, 2, 2)
                 ) -> list[tuple[int, InequalityReport]]:
     """Verify each rule on ``trials`` seeded random instances.
@@ -328,13 +325,15 @@ def run_harness(rules: Sequence[str] | None = None, trials: int = 200,
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ValidationError("dims must be three positive integers")
+    if trials < 1:
+        raise ValidationError("trials must be a positive integer")
     rows: list[tuple[int, InequalityReport]] = []
     for r_idx, rule in enumerate(rules if rules is not None else RULES):
         for i in range(trials):
             row_seed = seed + 100_000 * (r_idx + 1) + i
             state, params = _draw_instance(rule, row_seed, tuple(grid), dims)
             rows.append((row_seed,
-                         verify_inequality(rule, state, params, tolerances)))
+                         verify_inequality(rule, state, params)))
     return rows
 
 

@@ -24,7 +24,8 @@ Each program is solved once.  A run keeps the first iterate meeting each
 fallback gap target (1e-7, 1e-6) looser than the requested gap, with both
 residuals at most max(feas, target); if it stalls short of the requested gap
 without a certificate, it returns the tightest kept iterate as OPTIMAL, and
-`SdpSolution.gap_target` records the gap the returned solution met.
+`SdpSolution.gap_target` records the gap the returned solution met.  Solver
+settings are fixed: only `solve` and `check_feasibility` take `SdpTolerances`.
 
 Every constraint is stored as (row, block, r, c, value) triplets.  Rows
 arrive one at a time through `SdpProblem.add_constraint`, or all at once from
@@ -76,9 +77,11 @@ class SdpTolerances:
     gap: float = 1e-8          # relative duality gap
     feas: float = 1e-8         # relative primal/dual residuals
     max_iter: int = 200
-    cert: float = 1e-9         # quality required of an infeasibility certificate
 
 
+#: Quality required of an infeasibility certificate, in the loop and once
+#: the loop has ended without a verdict.
+_CERT_QUALITY, _LATE_CERT_QUALITY = 1e-9, 1e-7
 #: Fallback gap targets of a stalled run, tightest first (module docstring).
 _FALLBACK_GAPS = (1e-7, 1e-6)
 #: Iterations a run goes on for after keeping its tightest fallback iterate.
@@ -216,7 +219,7 @@ class _Conic:
         self.dims = dims
         self.offs = offs
         self.c_vec = c_vec
-        self.A = a
+        self.A, self.AT = a, a.T   # the transpose shares A's arrays
         self.b = b
         self.m = len(b)
 
@@ -245,6 +248,7 @@ class _Conic:
             - np.arange(a.nnz)
         self.A = sp.csr_matrix((a.data[rev] * np.repeat(1.0 / row_scale, lens),
                                 a.indices[rev], a.indptr.copy()), shape=a.shape)
+        self.AT = self.A.T
         b_s = self.b / row_scale
         sb = max(1.0, float(np.linalg.norm(b_s)))
         sc = max(1.0, float(np.linalg.norm(self.c_vec)))
@@ -270,7 +274,7 @@ class _Conic:
 
     def adj(self, y: np.ndarray) -> np.ndarray:
         """vec(sum_i y_i A_i)."""
-        return (self.A.T @ y).conj()
+        return (self.AT @ y).conj()
 
     def vec(self, blocks: list[np.ndarray]) -> np.ndarray:
         return np.concatenate([bl.reshape(-1) for bl in blocks])
@@ -355,7 +359,8 @@ def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
         for c0 in range(0, len(act), rows_per):
             c1 = min(c0 + rows_per, len(act))
             nc = c1 - c0
-            t1 = rc.atall[j][c0 * d:c1 * d] @ w           # stacked A_k W
+            ta = rc.atall[j] if nc == len(act) else rc.atall[j][c0 * d:c1 * d]
+            t1 = ta @ w                                    # stacked A_k W
             # laid out (a, c, k): the product is G^T, (d*d, nc), C-ordered
             t2 = w @ t1.reshape(nc, d, d).transpose(1, 2, 0).reshape(d, d * nc)
             contrib = rc.acol[j] @ t2.reshape(d * d, nc)   # (n_act, nc)
@@ -473,7 +478,7 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
                 and it - kept[rungs[0]][-1] >= _FALLBACK_PATIENCE:
             break
 
-        cert = try_certificates(tol.cert)
+        cert = try_certificates(_CERT_QUALITY)
         if cert is not None:
             status, msg = cert, "certificate found"
             break
@@ -545,7 +550,7 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
 
     target = tol.gap if status is SdpStatus.OPTIMAL else None
     if status is None:
-        cert = try_certificates(1e-7)
+        cert = try_certificates(_LATE_CERT_QUALITY)
         if cert is not None:
             status, msg = cert, "certificate found after iteration limit"
         elif kept:
@@ -889,8 +894,8 @@ class LmiProgram:
         self.builder = builder
         self.problem = problem
 
-    def solve(self, tolerances: SdpTolerances | None = None) -> LmiSolution:
-        sol = solve(self.problem, tolerances)
+    def solve(self) -> LmiSolution:
+        sol = solve(self.problem)
         if sol.status is not SdpStatus.OPTIMAL:
             return LmiSolution(sol.status, None, None, {}, sol)
         y = sol.dual_y

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .quantum import DensityOperator, ValidationError, purify
-from .sdp import SdpTolerances, herm_basis
+from .sdp import herm_basis
 from .entropy import EntropyQuery, _hmin_blocks, h_max_smooth, h_min_smooth
 
 __all__ = ["SymmetricBlocks", "h_min_smooth_power", "h_max_smooth_power"]
@@ -194,28 +194,26 @@ def _conditioner_maps(sab: SymmetricBlocks, sb: SymmetricBlocks,
     return out
 
 
-def h_min_smooth_power(state: DensityOperator, n: int, eps: float,
-                       tolerances: SdpTolerances | None = None) -> float:
+def h_min_smooth_power(state: DensityOperator, n: int, eps: float) -> float:
     """H_min^eps(A^n|B^n) on the n-fold product of a bipartite state."""
     da, db = _check_bipartite_normalized(state)
     if not 0.0 <= eps < 1.0:
         raise ValidationError("smoothing parameter must lie in [0, 1)")
     if n == 1:
-        return h_min_smooth(EntropyQuery(state, (0,), (1,), eps), tolerances)
+        return h_min_smooth(EntropyQuery(state, (0,), (1,), eps))
     sab, sb = SymmetricBlocks(da * db, n), SymmetricBlocks(db, n)
     return _hmin_blocks(sab.compress(_power_matrix(state.mat, n)),
                         _conditioner_maps(sab, sb, da, db, n), sb.weights,
-                        sab.weights, eps, tolerances)
+                        sab.weights, eps)
 
 
-def h_max_smooth_power(state: DensityOperator, n: int, eps: float,
-                       tolerances: SdpTolerances | None = None) -> float:
+def h_max_smooth_power(state: DensityOperator, n: int, eps: float) -> float:
     """H_max^eps(A^n|B^n) on the n-fold product, as -H_min^eps(A^n|C^n)."""
     da, db = _check_bipartite_normalized(state)
     if n == 1:
-        return h_max_smooth(EntropyQuery(state, (0,), (1,), eps), tolerances)
+        return h_max_smooth(EntropyQuery(state, (0,), (1,), eps))
     psi = purify(state)
     rho_ac = psi.partial_trace([0, 2])
     return -h_min_smooth_power(
         DensityOperator(rho_ac.mat, rho_ac.dims, validate=False),
-        n, eps, tolerances)
+        n, eps)

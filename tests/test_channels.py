@@ -8,7 +8,7 @@ from secrecy.channels import (CqqWiretapChannel, bsc_wiretap_channel,
                               two_pure_state_channel, validate_channel)
 from secrecy.quantum import (DensityOperator, ValidationError, product_state,
                              random_channel, random_pure, trace_norm)
-from secrecy.sdp import SdpError, SdpTolerances
+from secrecy.sdp import SdpError, SdpTolerances, solve
 
 
 class TestValidation:
@@ -117,8 +117,10 @@ class TestCheckDegraded:
         rev = CqqWiretapChannel(("0", "1"), 2, 2, states)
         assert check_degraded(rev) is None
 
-    def test_unsettled_search_is_a_solver_failure(self):
-        # SdpError (CLI exit 3), not the ValidationError of bad input
+    def test_unsettled_search_is_a_solver_failure(self, monkeypatch):
+        # SdpError (CLI exit 3), not the ValidationError of bad input; the
+        # real solver, stopped after one iteration, leaves the search unsettled
+        monkeypatch.setattr("secrecy.channels.solve", lambda prob: solve(
+            prob, SdpTolerances(max_iter=1)))
         with pytest.raises(SdpError, match="did not settle"):
-            check_degraded(bsc_wiretap_channel(0.1, 0.2),
-                           SdpTolerances(max_iter=1))
+            check_degraded(bsc_wiretap_channel(0.1, 0.2))

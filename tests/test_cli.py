@@ -234,6 +234,18 @@ class TestCliDispatch:
         rc, _, err = _run(capsys, ["lemmas", "--trials", "1", "--seed", "0",
                                    "--dims", "2,2"])
         assert rc == 1
+        rc, out, err = _run(capsys, ["lemmas", "--trials", "1",
+                                     "--dims", "a,2,2"])
+        assert rc == 1
+        assert "--dims 'a,2,2' is not comma-separated integers" in err
+        assert "checks" not in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_lemmas_needs_a_trial(self, capsys, trials):
+        rc, out, err = _run(capsys, ["lemmas", "--trials", trials])
+        assert rc == 1
+        assert "trials must be a positive integer" in err
+        assert "checks" not in out
 
     def test_code_eval(self, capsys, copy_path, tmp_path):
         code_path = tmp_path / "code.json"
@@ -290,6 +302,16 @@ class TestCliDispatch:
                                    "--eps", "0.5", "--delta", "0.3"])
         assert rc == 2
         assert "outside converse region" in err
+
+    @pytest.mark.parametrize("eps,delta", [("nan", "0.1"), ("0.1", "nan"),
+                                           ("inf", "0.1")])
+    def test_converse_non_finite_parameters(self, capsys, bsc_path, eps,
+                                            delta):
+        rc, out, err = _run(capsys, ["converse", bsc_path, "-n", "10",
+                                     "--eps", eps, "--delta", delta])
+        assert rc == 1
+        assert "finite" in err
+        assert "B(" not in out
 
     def test_converse_needs_degraded(self, capsys, undegraded_path):
         rc, _, err = _run(capsys, ["converse", undegraded_path, "-n", "10",

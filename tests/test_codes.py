@@ -11,12 +11,13 @@ from secrecy.channels import (CqqWiretapChannel, bsc_wiretap_channel,
                               copy_eve_channel, noiseless_trivial_eve_channel,
                               random_degraded_channel, two_pure_state_channel)
 from secrecy.codes import (BUDGET_ENV, CodePerformance, SearchConfig,
-                           WiretapCode, _discrimination_sdp, _grid_rows,
-                           _is_onehot, _privacy_bound, _success_bound,
-                           all_strings, brute_force_M, channel_string_state,
-                           decode_distribution, deterministic_code,
-                           encoder_output_states, evaluate_code, joint_state,
-                           nogo_mixture_code, optimal_decoder, string_index)
+                           WiretapCode, _SEARCH_TOL, _discrimination_sdp,
+                           _grid_rows, _is_onehot, _privacy_bound,
+                           _success_bound, all_strings, brute_force_M,
+                           channel_string_state, decode_distribution,
+                           deterministic_code, encoder_output_states,
+                           evaluate_code, joint_state, nogo_mixture_code,
+                           optimal_decoder, string_index)
 from secrecy.quantum import (DensityOperator, ValidationError, basis_state,
                              product_state)
 
@@ -228,7 +229,7 @@ class TestOptimalDecoder:
         code = WiretapCode(2, 1, 2, enc)
         bob = [s.partial_trace([0]).mat
                for s in encoder_output_states(code, bsc)]
-        _, sdp_succ = _discrimination_sdp(bob, None)
+        _, sdp_succ = _discrimination_sdp(bob)
         gap = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(bob[0] - bob[1])))
         assert succ == pytest.approx(0.5 + 0.5 * gap, abs=1e-12)
         assert succ == pytest.approx(sdp_succ, abs=1e-7)
@@ -439,8 +440,8 @@ def _reference_search(channel, n, eps, delta, cfg):
             povm, _ = optimal_decoder(enc, channel, n)
             code = WiretapCode(m, n, channel.size, enc, decoder=povm)
             perf = evaluate_code(code, channel, cfg.privacy_mode)
-            if perf.eps_star <= eps + cfg.tol \
-                    and perf.delta_star <= delta + cfg.tol:
+            if perf.eps_star <= eps + _SEARCH_TOL \
+                    and perf.delta_star <= delta + _SEARCH_TOL:
                 best = (m, code)
                 break
     return best

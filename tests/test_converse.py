@@ -195,6 +195,9 @@ class TestAuditChain:
         ch, st = _trivial_eve_structure()
         with pytest.raises(ValidationError):
             audit_privacy_bound_chain(_perfect_bit_code(), ch, st, 0.0)
+        # NaN is caught by the same up-front check, not by a later one
+        with pytest.raises(ValidationError, match="eta must be positive"):
+            audit_privacy_bound_chain(_perfect_bit_code(), ch, st, math.nan)
 
     def test_rejects_exhausted_smoothing_budget(self):
         ch = copy_eve_channel(2)
@@ -236,6 +239,10 @@ class TestFiniteBlocklength:
             finite_n_converse(ch, st, 10, -0.1, 0.1)
         with pytest.raises(ValidationError):
             finite_n_terms(ch, None, 10, 0.1, 0.1)
+        for eps, delta in ((math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1),
+                           (0.1, math.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                finite_n_terms(ch, st, 10, eps, delta, capacity=1.0)
 
     def test_dominates_capacity_term(self):
         ch, st = self._copy_eve()

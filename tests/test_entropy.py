@@ -140,7 +140,7 @@ class TestSmoothedMin:
             if froot < math.sqrt(1.0 - eps ** 2):
                 continue  # outside the ball
             tried += 1
-            cand_val = _hmin_generic(cand, 2, 2, 0.0, None)
+            cand_val = _hmin_generic(cand, 2, 2, 0.0)
             best = max(best, cand_val)
         assert tried > 1000  # the sampler genuinely explores the ball
         assert best <= val + TOL
