@@ -401,6 +401,8 @@ def finite_n_terms(channel: CqqWiretapChannel, structure: DegradedStructure,
     if structure is None:
         raise ValidationError("finite-blocklength bound needs the degraded "
                               "structure of the channel")
+    if capacity is not None and not 0.0 <= capacity < math.inf:
+        raise ValidationError("capacity must be finite and nonnegative")
     if constant_type:
         theta = 0.0
         eta = s / 6.0

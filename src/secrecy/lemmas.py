@@ -327,11 +327,15 @@ def run_harness(rules: Sequence[str] | None = None, trials: int = 200,
         raise ValidationError("dims must be three positive integers")
     if trials < 1:
         raise ValidationError("trials must be a positive integer")
+    grid = tuple(grid)
+    if not grid:
+        raise ValidationError("grid must hold at least one smoothing parameter")
+    _check_eps(*grid)
     rows: list[tuple[int, InequalityReport]] = []
     for r_idx, rule in enumerate(rules if rules is not None else RULES):
         for i in range(trials):
             row_seed = seed + 100_000 * (r_idx + 1) + i
-            state, params = _draw_instance(rule, row_seed, tuple(grid), dims)
+            state, params = _draw_instance(rule, row_seed, grid, dims)
             rows.append((row_seed,
                          verify_inequality(rule, state, params)))
     return rows

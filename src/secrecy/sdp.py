@@ -17,7 +17,21 @@ data, with conjugate transposes).  The compiled constraint matrix is one
 complex CSR whose row i is conj(vec A_i), so Re(A x)_i = <A_i, X> and
 conj(A^T y) = vec(sum_i y_i A_i); inner products of blocks are Re vdot.
 Infeasibility is reported through Farkas-type certificates extracted from
-the homogeneous iterate.  Everything is dense and deterministic: fixed
+the homogeneous iterate.
+
+The Schur complement H_ik = Re tr(A_i W A_k W) is assembled per block along
+one of two paths, chosen once per solve from the compiled rows by a cost
+rule on each row's count of real Hermitian-basis coordinates, the block size
+d and the block's active rows and nonzeros (`_index_rows`; no setting).
+Index rows (a `herm_basis` unit row, or a row with fewer than d
+coordinates) read their entries off the real d^2 x d^2 matrix K of
+X -> W X W, built from the entries of W alone (the index formulas of
+Fujisawa, Kojima & Nakata, Math. Program. 79 (1997)): between unit rows a
+scaled gather of K, for other index rows a column of K times their
+coordinates.  Dense rows keep the F1 product W A_k W against every active
+row.  A column computed once is written as a column and as a row, a block
+writes through slices where its rows run, and both triangles are kept and
+averaged in place.  Everything is dense and deterministic: fixed
 starting point, fixed iteration schedule, no randomization.
 
 Each program is solved once.  A run keeps the first iterate meeting each
@@ -254,18 +268,11 @@ class _Conic:
         sc = max(1.0, float(np.linalg.norm(self.c_vec)))
         self.b = b_s / sb
         self.c_vec = self.c_vec / sc
-        # per-block column slices (rows conj(vec A_i)), active rows, and the
-        # A_i stacked "tall", used by the Schur-complement assembly
-        self.acol, self.act, self.atall = [], [], []
+        # per-block Schur-assembly views, from the scaled rows
+        self.schur = []
         for j, d in enumerate(self.dims):
             sub = self.A[:, self.offs[j]:self.offs[j + 1]].tocoo()
-            act, rows = np.unique(sub.row, return_inverse=True)
-            self.act.append(act)
-            self.acol.append(sp.csr_matrix((sub.data, (rows, sub.col)),
-                                           shape=(len(act), d * d)))
-            self.atall.append(sp.csr_matrix(
-                (sub.data.conj(), (rows * d + sub.col // d, sub.col % d)),
-                shape=(len(act) * d, d)))
+            self.schur.append(_schur_block(sub, d))
         return row_scale, sb, sc
 
     def op(self, x: np.ndarray) -> np.ndarray:
@@ -344,28 +351,197 @@ def _alpha_psd(scal: _Scal, dt: np.ndarray) -> float:
 
 
 _SCHUR_CHUNK = 1_500_000  # complex entries per assembly chunk
+#: Costs of the assembly rule (`_index_rows`), in complex multiply-adds of
+#: the F1 product: one entry of K, building K at all, one gathered entry
+_K_ENTRY, _K_FIXED, _GATHER = 12.0, 1e5, 2.5
+
+
+def _run(idx: np.ndarray):
+    """idx as a slice when it is one increasing run of consecutive indices."""
+    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        return slice(int(idx[0]), int(idx[0]) + len(idx))
+    return idx
+
+
+def _ix(rows: np.ndarray, cols: np.ndarray):
+    """Index of the rows x cols submatrix: slices where the indices run."""
+    r, c = _run(rows), _run(cols)
+    if isinstance(r, slice) or isinstance(c, slice):
+        return r, c
+    return np.ix_(r, c)
+
+
+def _wxw(w: np.ndarray) -> np.ndarray:
+    """K[p, q] = <B_p, W B_q W> over the `herm_basis` B_p of size d, from the
+    entries of W alone: with B_p = a_p E_rs + conj(a_p) E_sr (a = 1/2 on the
+    diagonal, 1 and i for the pair of r < s), K[p, q] = 2 Re(a_p a_q Z1 +
+    a_p conj(a_q) Z2), Z1 = W_{s r'} W_{s' r} and Z2 = W_{s s'} W_{r' r}
+    for the positions (r, s) of p and (r', s') of q."""
+    d = w.shape[0]
+    i, j = np.triu_indices(d, 1)            # positions in herm_basis order
+    r = np.concatenate([np.arange(d), i])
+    s = np.concatenate([np.arange(d), j])
+    # doubling is exact (2 Z1, 2 Z2); the operand order of each product sets
+    # the last bits of K, and so of every reported value
+    w2, wt = w + w, w.T
+    z1 = w2.T.take(r, 0).take(s, 1)
+    z1 *= w.take(s, 0).take(r, 1)
+    z2 = w2.take(s, 0).take(s, 1)
+    z2 *= wt.take(r, 0).take(r, 1)
+    zs = z1 + z2
+    z2 -= z1
+    k = np.empty((d * d, d * d))
+    k[:d, :d] = 0.25 * zs.real[:d, :d]
+    k[:d, d::2] = 0.5 * zs.real[:d, d:]
+    k[:d, d + 1::2] = 0.5 * z2.imag[:d, d:]
+    k[d::2, :d] = 0.5 * zs.real[d:, :d]
+    k[d + 1::2, :d] = -0.5 * zs.imag[d:, :d]
+    k[d::2, d::2] = zs.real[d:, d:]
+    k[d::2, d + 1::2] = z2.imag[d:, d:]
+    np.negative(zs.imag[d:, d:], out=k[d + 1::2, d::2])
+    k[d + 1::2, d + 1::2] = z2.real[d:, d:]
+    return k
+
+
+def _index_rows(q: np.ndarray, d: int, nnz: int) -> np.ndarray:
+    """The assembly rule of one block: which active rows take the index
+    formulas, from q, each row's count of Hermitian-basis coordinates, and
+    nnz, the block's nonzeros.  A dense row costs its F1 product W A_k W
+    and one dot with every active row.  A unit row (q = 1) costs its
+    gathered row of K; a row with q < d coordinates costs q rows of K and
+    the same dots.  The block takes the index rows when the F1 work they
+    save pays for building K."""
+    dense_row = d ** 3 + nnz
+    unit, multi = q == 1, (q > 1) & (q < d)
+    cost = (_K_FIXED + _K_ENTRY * d ** 4 + _GATHER * len(q) * unit.sum()
+            + (q[multi] * d * d + nnz).sum())
+    if (unit | multi).sum() * dense_row <= cost:
+        return np.zeros(len(q), dtype=bool)
+    return unit | multi
+
+
+@dataclass
+class _SchurBlock:
+    """One block's share of the Schur complement (`_schur`).
+
+    `gather` holds (K index, row weights, column weights, Schur index) for
+    the unit rows; `columns` holds (coordinates of the other index rows,
+    coordinates of all index rows, column index, mirror index, unit rows
+    among the index rows); `chunks` holds (stacked A_k, column index,
+    mirror index) per chunk of dense rows, and `index_rows` picks the index
+    rows out of a dense column."""
+
+    acol: sp.csr_matrix
+    gather: tuple | None
+    columns: tuple | None
+    index_rows: object
+    chunks: list
+
+
+def _schur_block(sub: sp.coo_matrix, d: int) -> _SchurBlock:
+    """Split the active rows of one block's columns (rows conj(vec A_i))
+    by `_index_rows`, and lay out both paths."""
+    act, rows = np.unique(sub.row, return_inverse=True)
+    n = len(act)
+    acol = sp.csr_matrix((sub.data, (rows, sub.col)), shape=(n, d * d))
+    index = np.zeros(n, dtype=bool)
+    gather = columns = None
+    # real coordinates of the Hermitian part of each A_i over herm_basis
+    # (the diagonal, then Re and Im of each entry above it), unless building
+    # K costs more than the F1 product of every row
+    if n * (d ** 3 + sub.nnz) > _K_FIXED + _K_ENTRY * d ** 4:
+        r, c = np.divmod(sub.col, d)
+        lo, hi = np.minimum(r, c), np.maximum(r, c)
+        pos = np.where(lo == hi, lo, d + 2 * (lo * d - lo * (lo + 1) // 2
+                                              + hi - lo - 1))
+        a = sub.data.conj()                    # the entries A_i[r, c]
+        off = lo != hi
+        coords = sp.csr_matrix(
+            (np.concatenate([np.where(off, 0.5, 1.0) * a.real,
+                             (0.5 * np.sign(c - r) * a.imag)[off]]),
+             (np.concatenate([rows, rows[off]]),
+              np.concatenate([pos, pos[off] + 1]))), shape=(n, d * d))
+        coords.eliminate_zeros()
+        q = np.diff(coords.indptr)
+        index = _index_rows(q, d, sub.nnz)
+    idx, dense = np.flatnonzero(index), np.flatnonzero(~index)
+    if len(idx):
+        unit, multi = idx[q[idx] == 1], idx[q[idx] > 1]
+        if len(unit):
+            p = coords.indices[coords.indptr[unit]]
+            x = coords.data[coords.indptr[unit]]
+            gather = (_ix(p, p), x[:, None], x, _ix(act[unit], act[unit]))
+        if len(multi):
+            columns = (coords[multi], coords[idx], _ix(act[idx], act[multi]),
+                       _ix(act[multi], act[unit]),
+                       _run(np.flatnonzero(q[idx] == 1)))
+    # the dense rows' stacked A_k, (n_dense * d, d), cut into chunks
+    pick = np.full(n, -1)
+    pick[dense] = np.arange(len(dense))
+    keep = pick[rows] >= 0
+    atall = sp.csr_matrix(
+        (sub.data[keep].conj(),
+         (pick[rows[keep]] * d + sub.col[keep] // d, sub.col[keep] % d)),
+        shape=(len(dense) * d, d))
+    rows_per = max(1, _SCHUR_CHUNK // (d * d))
+    chunks = []
+    for c0 in range(0, len(dense), rows_per):
+        c1 = min(c0 + rows_per, len(dense))
+        cols = act[dense[c0:c1]]
+        chunks.append((atall if c1 - c0 == len(dense) else atall[c0 * d:c1 * d],
+                       _ix(act, cols),
+                       _ix(cols, act[idx]) if len(idx) else None))
+    return _SchurBlock(acol, gather, columns, _run(idx), chunks)
 
 
 def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
-    """H_ik = Re tr(A_i W A_k W), both triangles assembled and averaged."""
-    m = rc.m
-    big = np.zeros((m, m))
-    for j, d in enumerate(rc.dims):
-        act = rc.act[j]
-        if len(act) == 0:
-            continue
-        w = scals[j].W
-        rows_per = max(1, _SCHUR_CHUNK // (d * d))
-        for c0 in range(0, len(act), rows_per):
-            c1 = min(c0 + rows_per, len(act))
-            nc = c1 - c0
-            ta = rc.atall[j] if nc == len(act) else rc.atall[j][c0 * d:c1 * d]
+    """H_ik = Re tr(A_i W A_k W), split by row per block (`_schur_block`).
+
+    The cost rule `_index_rows` splits each block's active rows once per
+    solve.  Index rows, few real Hermitian-basis coordinates x_i each, take
+    H_ik = x_i K x_k^T with K from `_wxw`: a scaled gather of K between
+    `herm_basis` unit rows, and K times their coordinates for a column of
+    any other index row.  Dense rows take the F1 product W A_k W against
+    every active row.  A column not gathered is written as a column and as
+    a row; blocks write through slices where their rows run, and both
+    triangles are kept and averaged in place."""
+    big = np.zeros((rc.m, rc.m))
+    for blk, scal in zip(rc.schur, scals):
+        w = scal.W
+        d = w.shape[0]
+        if blk.gather is not None or blk.columns is not None:
+            k = _wxw(w)
+        if blk.gather is not None:
+            kix, xl, xr, ix = blk.gather
+            term = k[kix] * xl
+            term *= xr
+            big[ix] += term
+        if blk.columns is not None:
+            xm, xi, cols, mirror, unit = blk.columns
+            col = xi @ (xm @ k).T                       # X K x_k^T
+            big[cols] += col
+            big[mirror] += col[unit].T
+        for ta, cols, mirror in blk.chunks:
+            nc = ta.shape[0] // d
             t1 = ta @ w                                    # stacked A_k W
             # laid out (a, c, k): the product is G^T, (d*d, nc), C-ordered
             t2 = w @ t1.reshape(nc, d, d).transpose(1, 2, 0).reshape(d, d * nc)
-            contrib = rc.acol[j] @ t2.reshape(d * d, nc)   # (n_act, nc)
-            big[np.ix_(act, act[c0:c1])] += contrib.real
-    return 0.5 * (big + big.T)
+            contrib = (blk.acol @ t2.reshape(d * d, nc)).real   # (n_act, nc)
+            big[cols] += contrib
+            if mirror is not None:
+                big[mirror] += contrib[blk.index_rows].T
+    _symmetrize(big)
+    return big
+
+
+def _symmetrize(big: np.ndarray) -> None:
+    """big <- (big + big^T) / 2 in place, 128 rows at a time."""
+    m = big.shape[0]
+    for i in range(0, m, 128):
+        j = min(i + 128, m)
+        avg = 0.5 * (big[i:j, i:] + big[i:, i:j].T)
+        big[i:j, i:] = avg
+        big[i:, i:j] = avg.T
 
 
 def _w_apply(rc: _Conic, scals: list[_Scal], v: np.ndarray) -> np.ndarray:

@@ -243,6 +243,11 @@ class TestFiniteBlocklength:
                            (0.1, math.inf)):
             with pytest.raises(ValidationError, match="finite"):
                 finite_n_terms(ch, st, 10, eps, delta, capacity=1.0)
+        for capacity in (math.nan, math.inf, -5.0):
+            with pytest.raises(ValidationError, match="capacity"):
+                finite_n_terms(ch, st, 10, 0.1, 0.1, capacity=capacity)
+            with pytest.raises(ValidationError, match="capacity"):
+                finite_n_converse(ch, st, 10, 0.1, 0.1, capacity=capacity)
 
     def test_dominates_capacity_term(self):
         ch, st = self._copy_eve()

@@ -156,6 +156,12 @@ class TestHarness:
         assert [rep.rule for _, rep in rows] == list(RULES)
         assert all(rep.holds for _, rep in rows)
 
+    @pytest.mark.parametrize("grid", [(), [0.1, 1.0], (0.2, -0.1),
+                                      (0.1, float("nan"))])
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValidationError):
+            run_harness(rules=("MinMaxConversion",), trials=1, grid=grid)
+
     def test_csv_byte_reproducible(self):
         pick = ("DataProcessingMin", "MaxMinConversion")
         first = csv_text(run_harness(rules=pick, trials=2, seed=42))

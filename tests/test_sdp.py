@@ -321,32 +321,81 @@ def test_unreachable_gap_returns_the_fallback_iterate():
         assert np.array_equal(a, b)
 
 
-def test_schur_matches_dense_trace_formula(monkeypatch):
-    """Schur complement tr(A_i W A_k W) against dense products of the
-    compiled rows, with one assembly chunk and with chunks of a few rows."""
-    rng = np.random.default_rng(17)
-    dims = [3, 2, 1]
+def _schur_program(rng):
+    """Blocks of size 3, 2 and 1 with dense rows on non-contiguous active
+    sets, and two blocks of size 16 large enough for the index formulas.
+    Block 3 skips every twentieth row and holds herm_basis unit rows in basis
+    order (diagonal, real and imaginary pairs), dense rows and a row with
+    two diagonal entries; block 4 runs over every row from 7 on: two dense
+    rows, a row with two diagonal entries and a complex off-diagonal row,
+    then shuffled unit rows."""
+    dims = [3, 2, 1, 16, 16]
+    basis = herm_basis(16)
     prob = SdpProblem(dims, [rand_herm(d, rng) for d in dims])
     for i in range(7):
         # block 1 is active on rows 0, 2, 4, 6 and block 2 on rows 1 and 4
         touched = [0] + [1] * (i % 2 == 0) + [2] * (i in (1, 4))
         prob.add_constraint({j: rand_herm(dims[j], rng) for j in touched},
                             float(rng.normal()))
+    two_diag = np.diag([0.0] * 2 + [0.7] + [0.0] * 4 + [-1.3] + [0.0] * 8)
+    pair = np.zeros((16, 16), dtype=complex)
+    pair[3, 9], pair[9, 3] = 0.4 - 1.1j, 0.4 + 1.1j
+    shuffled = iter(rng.permutation(len(basis)))
+    in_order = iter(range(len(basis)))
+    for k in range(260):
+        row = {4: {0: rand_herm(16, rng), 1: rand_herm(16, rng),
+                   2: two_diag, 3: pair}.get(k)}
+        if row[4] is None:
+            row[4] = rng.choice([-1.7, 0.6, 2.3]) * basis[next(shuffled)]
+        if k % 20 != 5:
+            row[3] = {3: rand_herm(16, rng), 50: rand_herm(16, rng),
+                      90: rand_herm(16, rng), 20: -two_diag}.get(k)
+            if row[3] is None:
+                row[3] = rng.choice([-0.8, 1.0, 3.1]) * basis[next(in_order)]
+        prob.add_constraint(row, float(rng.normal()))
+    return prob
+
+
+def test_schur_matches_dense_trace_formula(monkeypatch):
+    """Schur complement tr(A_i W A_k W) against dense products of the
+    compiled rows, for every assembly path: dense rows (F1) in one chunk
+    and in chunks of a few rows, gathered unit rows, K columns of rows with
+    two coordinates, through slices and through index arrays."""
+    rng = np.random.default_rng(17)
+    prob = _schur_program(rng)
+    scals = [sdp_mod._nt_block(rand_pd(d, rng), rand_pd(d, rng))
+             for d in prob.block_dims]
     rc = prob.compile()
     rc.scale()
-    assert not np.array_equal(rc.act[1], np.arange(rc.act[1][0],
-                                                   rc.act[1][-1] + 1))
-    scals = [sdp_mod._nt_block(rand_pd(d, rng), rand_pd(d, rng))
-             for d in rc.dims]
     # row i of the compiled matrix is conj(vec A_i)
-    rows = [rc.unvec(rc.A[i].toarray().ravel().conj()) for i in range(rc.m)]
-    want = np.array([[sum(np.trace(ai @ sc.W @ ak @ sc.W).real
-                          for ai, ak, sc in zip(rows[i], rows[k], scals))
-                      for k in range(rc.m)] for i in range(rc.m)])
+    rows = rc.A.toarray().conj()
+    want = np.zeros((rc.m, rc.m))
+    for j, sc in enumerate(scals):
+        a = rows[:, rc.offs[j]:rc.offs[j + 1]].reshape(rc.m, *sc.W.shape)
+        want += np.einsum("iab,kba->ik", a, sc.W @ a @ sc.W).real
+    # blocks 0-2 are all dense rows, blocks 3 and 4 take every path
+    blocks = rc.schur
+    assert all(b.gather is None and b.columns is None for b in blocks[:3])
+    for b in blocks[3:]:
+        assert b.gather is not None and b.columns is not None and b.chunks
+    act = [np.unique(rc.A[:, rc.offs[j]:rc.offs[j + 1]].tocoo().row)
+           for j in range(len(blocks))]
+    assert not np.array_equal(act[1], np.arange(act[1][0], act[1][-1] + 1))
+    assert not np.array_equal(act[3], np.arange(act[3][0], act[3][-1] + 1))
+    assert np.array_equal(act[4], np.arange(7, rc.m))
+    # block 3 gathers K through slices and writes through index arrays,
+    # block 4 the other way round
+    assert isinstance(blocks[3].gather[0][0], slice)
+    assert not isinstance(blocks[3].gather[3][0], slice)
+    assert not isinstance(blocks[4].gather[0][0], slice)
+    assert isinstance(blocks[4].gather[3][0], slice)
     one_chunk = sdp_mod._schur(rc, scals)
-    # 36 entries: blocks of size 3, 2, 1 take 4, 9 and 36 rows a chunk, so
-    # block 0's seven active rows span two chunks
+    # 36 entries: blocks of size 3, 2, 1 and 16 take 4, 9, 36 and 1 rows a
+    # chunk, so block 0 has two chunks and block 3 one per dense row
     monkeypatch.setattr(sdp_mod, "_SCHUR_CHUNK", 36)
+    rc = prob.compile()
+    rc.scale()
+    assert len(rc.schur[0].chunks) == 2 and len(rc.schur[3].chunks) == 3
     chunked = sdp_mod._schur(rc, scals)
     for got in (one_chunk, chunked):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
