@@ -19,27 +19,38 @@ conj(A^T y) = vec(sum_i y_i A_i); inner products of blocks are Re vdot.
 Infeasibility is reported through Farkas-type certificates extracted from
 the homogeneous iterate.
 
+Real data runs in real arithmetic over its real rows; results keep their
+types.  A program is real when C is real, each row is all real or all
+imaginary, and b = 0 on every imaginary row (exact tests, `_real_rows`).
+Its imaginary rows decouple and their duals are zero by conjugation
+symmetry, so the same interior-point loop runs in float64 on the real rows
+alone; `solve` scatters y back with zeros on the imaginary rows, returns
+complex-typed blocks and verifies them against every original row.
+
 The Schur complement H_ik = Re tr(A_i W A_k W) is assembled per block along
 one of two paths, chosen once per solve from the compiled rows by a cost
 rule on each row's count of real Hermitian-basis coordinates, the block size
 d and the block's active rows and nonzeros (`_index_rows`; no setting).
 Index rows (a `herm_basis` unit row, or a row with fewer than d
 coordinates) read their entries off the real d^2 x d^2 matrix K of
-X -> W X W, built from the entries of W alone (the index formulas of
-Fujisawa, Kojima & Nakata, Math. Program. 79 (1997)): between unit rows a
-scaled gather of K, for other index rows a column of K times their
-coordinates.  Dense rows keep the F1 product W A_k W against every active
-row.  A column computed once is written as a column and as a row, a block
-writes through slices where its rows run, and both triangles are kept and
-averaged in place.  Everything is dense and deterministic: fixed
+X -> W X W (on a real block, its d(d+1)/2-square quarter over the diagonal
+and real-part coordinates), built from the entries of W alone (the index
+formulas of Fujisawa, Kojima & Nakata, Math. Program. 79 (1997)): between
+unit rows a scaled gather of K, for other index rows a column of K times
+their coordinates.  Dense rows keep the F1 product W A_k W against every
+active row.  A column computed once is written as a column and as a row, a
+block writes through slices where its rows run, and both triangles are kept
+and averaged in place.  Everything is dense and deterministic: fixed
 starting point, fixed iteration schedule, no randomization.
 
 Each program is solved once.  A run keeps the first iterate meeting each
 fallback gap target (1e-7, 1e-6) looser than the requested gap, with both
 residuals at most max(feas, target); if it stalls short of the requested gap
-without a certificate, it returns the tightest kept iterate as OPTIMAL, and
-`SdpSolution.gap_target` records the gap the returned solution met.  Solver
-settings are fixed: only `solve` and `check_feasibility` take `SdpTolerances`.
+without a certificate, it returns the tightest kept iterate as OPTIMAL;
+`SdpSolution.gap_target` records the gap the returned solution met,
+`iterations` the iterations run and the message the returned iterate's
+iteration.  Solver settings are fixed: only `solve` and `check_feasibility`
+take `SdpTolerances`.
 
 Every constraint is stored as (row, block, r, c, value) triplets.  Rows
 arrive one at a time through `SdpProblem.add_constraint`, or all at once from
@@ -209,7 +220,7 @@ class SdpSolution:
     primal_value: float | None = None
     dual_value: float | None = None
     gap: float | None = None
-    iterations: int = 0
+    iterations: int = 0                # iterations run
     primal_blocks: list[np.ndarray] | None = None
     dual_y: np.ndarray | None = None
     dual_slack_blocks: list[np.ndarray] | None = None
@@ -376,7 +387,9 @@ def _wxw(w: np.ndarray) -> np.ndarray:
     entries of W alone: with B_p = a_p E_rs + conj(a_p) E_sr (a = 1/2 on the
     diagonal, 1 and i for the pair of r < s), K[p, q] = 2 Re(a_p a_q Z1 +
     a_p conj(a_q) Z2), Z1 = W_{s r'} W_{s' r} and Z2 = W_{s s'} W_{r' r}
-    for the positions (r, s) of p and (r', s') of q."""
+    for the positions (r, s) of p and (r', s') of q.  A real W gives the
+    d(d+1)/2-square quarter of K on the diagonal and real-part coordinates,
+    in that order (`_schur_block`)."""
     d = w.shape[0]
     i, j = np.triu_indices(d, 1)            # positions in herm_basis order
     r = np.concatenate([np.arange(d), i])
@@ -389,6 +402,11 @@ def _wxw(w: np.ndarray) -> np.ndarray:
     z2 = w2.take(s, 0).take(s, 1)
     z2 *= wt.take(r, 0).take(r, 1)
     zs = z1 + z2
+    if not np.iscomplexobj(zs):
+        zs[:d, :d] *= 0.25
+        zs[:d, d:] *= 0.5
+        zs[d:, :d] *= 0.5
+        return zs
     z2 -= z1
     k = np.empty((d * d, d * d))
     k[:d, :d] = 0.25 * zs.real[:d, :d]
@@ -447,20 +465,24 @@ def _schur_block(sub: sp.coo_matrix, d: int) -> _SchurBlock:
     index = np.zeros(n, dtype=bool)
     gather = columns = None
     # real coordinates of the Hermitian part of each A_i over herm_basis
-    # (the diagonal, then Re and Im of each entry above it), unless building
+    # (the diagonal, then Re and Im of each entry above it; a real block
+    # keeps the diagonal and Re, the compact K of `_wxw`), unless building
     # K costs more than the F1 product of every row
     if n * (d ** 3 + sub.nnz) > _K_FIXED + _K_ENTRY * d ** 4:
         r, c = np.divmod(sub.col, d)
         lo, hi = np.minimum(r, c), np.maximum(r, c)
-        pos = np.where(lo == hi, lo, d + 2 * (lo * d - lo * (lo + 1) // 2
-                                              + hi - lo - 1))
+        pair = 2 if np.iscomplexobj(sub.data) else 1
+        pos = np.where(lo == hi, lo, d + pair * (lo * d - lo * (lo + 1) // 2
+                                                 + hi - lo - 1))
         a = sub.data.conj()                    # the entries A_i[r, c]
         off = lo != hi
+        im = off & (a.imag != 0)
         coords = sp.csr_matrix(
             (np.concatenate([np.where(off, 0.5, 1.0) * a.real,
-                             (0.5 * np.sign(c - r) * a.imag)[off]]),
-             (np.concatenate([rows, rows[off]]),
-              np.concatenate([pos, pos[off] + 1]))), shape=(n, d * d))
+                             (0.5 * np.sign(c - r) * a.imag)[im]]),
+             (np.concatenate([rows, rows[im]]),
+              np.concatenate([pos, pos[im] + 1]))),
+            shape=(n, d + pair * (d * (d - 1) // 2)))
         coords.eliminate_zeros()
         q = np.diff(coords.indptr)
         index = _index_rows(q, d, sub.nnz)
@@ -599,8 +621,8 @@ def _step(scals: list[_Scal], dx_b, ds_b, tau, kap, dtau, dkap,
 def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
     nb = len(rc.dims)
     nu = float(sum(rc.dims))
-    xb = [np.eye(d, dtype=complex) for d in rc.dims]
-    sb = [np.eye(d, dtype=complex) for d in rc.dims]
+    xb = [np.eye(d, dtype=rc.c_vec.dtype) for d in rc.dims]
+    sb = [np.eye(d, dtype=rc.c_vec.dtype) for d in rc.dims]
     y = np.zeros(rc.m)
     tau, kap = 1.0, 1.0
     c, b = rc.c_vec, rc.b
@@ -731,9 +753,9 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             status, msg = cert, "certificate found after iteration limit"
         elif kept:
             target = min(kept)
-            xb, y, sb, tau, kap, it = kept[target]
+            xb, y, sb, tau, kap, at = kept[target]
             status = SdpStatus.OPTIMAL
-            msg = (f"stalled; returned the iterate of iteration {it} "
+            msg = (f"stalled; returned the iterate of iteration {at} "
                    f"at gap target {target:g}")
         else:
             status = SdpStatus.NUMERICAL_FAILURE
@@ -751,17 +773,30 @@ def solve(problem: SdpProblem,
 
     On status OPTIMAL the returned blocks satisfy the constraints and PSD
     conditions within the tolerances, re-verified here outside the solver
-    loop; infeasible statuses carry an improving-ray certificate.
+    loop; infeasible statuses carry an improving-ray certificate.  Real
+    data runs in real arithmetic over its real rows (`_real_rows`); results
+    keep their types: complex blocks and one dual entry per row, zero on the
+    imaginary rows.
     """
     tol = tolerances or SdpTolerances()
-    rc = problem.compile()
-    # unscaled, for certificates and _verify
-    orig = _Conic(rc.dims, rc.offs, rc.c_vec, rc.A, rc.b)
+    orig = problem.compile()   # unscaled, for certificates and _verify
     b, c = orig.b, orig.c_vec
+    keep = _real_rows(orig)
+    if keep is None:
+        rc = _Conic(orig.dims, orig.offs, c, orig.A, b)
+    else:
+        rc = _Conic(orig.dims, orig.offs, c.real, orig.A[keep].real, b[keep])
     row_scale, sb, sc = rc.scale()
     raw = _ipm(rc, tol, descale=(row_scale, sb, sc,
                                  1.0 + float(np.linalg.norm(b)),
                                  1.0 + float(np.linalg.norm(c))))
+    if keep is not None:
+        # zero duals on the imaginary rows; blocks keep their complex type
+        y, rs = np.zeros(orig.m), np.ones(orig.m)
+        y[keep], rs[keep] = raw.y, row_scale
+        raw.y, row_scale = y, rs
+        raw.x = [blk.astype(complex) for blk in raw.x]
+        raw.s = [blk.astype(complex) for blk in raw.s]
 
     sol = SdpSolution(status=raw.status, iterations=raw.iterations,
                       message=raw.message, gap_target=raw.gap_target)
@@ -795,6 +830,22 @@ def solve(problem: SdpProblem,
         }
         sol.primal_blocks = blocks
     return sol
+
+
+def _real_rows(rc: _Conic) -> np.ndarray | None:
+    """The rows a real program is solved on: its real rows, when C is real,
+    each row is all real or all imaginary and b = 0 on the imaginary rows
+    (exact tests).  Those rows decouple, and their duals are zero by
+    conjugation symmetry.  None for any other program, or one with no real
+    row."""
+    if rc.c_vec.imag.any():
+        return None
+    row = np.repeat(np.arange(rc.m), np.diff(rc.A.indptr))
+    has_re = np.bincount(row, rc.A.data.real != 0, minlength=rc.m) > 0
+    has_im = np.bincount(row, rc.A.data.imag != 0, minlength=rc.m) > 0
+    if (has_re & has_im).any() or rc.b[has_im].any() or has_im.all():
+        return None
+    return np.flatnonzero(~has_im)
 
 
 def _verify(rc: _Conic, sol: SdpSolution,

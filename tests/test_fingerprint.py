@@ -1,6 +1,7 @@
 """``tools/fingerprint.py --diff`` on two small hand-written runs."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,14 @@ TOOL = ROOT / "tools" / "fingerprint.py"
 
 
 def _rec(index, ipm="i0", iterations=10, status="Optimal", relaxed=False,
-         value=1.0):
-    return {"op": "op", "index": index, "m": 4, "blocks": [2], "gap": 1e-8,
-            "relaxed": relaxed, "compile": "c0", "ipm": ipm,
-            "iterations": iterations, "status": status,
-            "gap_target": 1e-7 if relaxed else 1e-8, "value": value}
+         value=1.0, real=None):
+    rec = {"op": "op", "index": index, "m": 4, "blocks": [2], "gap": 1e-8,
+           "relaxed": relaxed, "compile": "c0", "ipm": ipm,
+           "iterations": iterations, "status": status,
+           "gap_target": 1e-7 if relaxed else 1e-8, "value": value}
+    if real is not None:
+        rec.update(real=real, rows=3 if real else 4)
+    return rec
 
 
 def _diff(tmp_path, before, after):
@@ -36,6 +40,7 @@ def test_identical_runs_exit_zero(tmp_path):
     assert "compile hashes equal: 2/2; IPM hashes equal: 2/2" in out
     assert "iterations: 22 -> 22; numerical failures: 0 -> 0; " \
            "relaxed solves: 1 -> 1" in out
+    assert "real solves: 0/2 -> 0/2" in out
     assert "largest value change" not in out
 
 
@@ -55,3 +60,45 @@ def test_differing_runs_exit_one_with_totals(tmp_path):
     assert "iterations: 22 -> 67; numerical failures: 0 -> 1; " \
            "relaxed solves: 0 -> 1" in out
     assert "largest value change over differing solves: 2.50e-03" in out
+
+
+def test_real_solves_counted_without_the_fields_before(tmp_path):
+    # records from before the real path carry no "real" field
+    before = [_rec(0), _rec(1)]
+    after = [_rec(0, ipm="r", real=True), _rec(1, real=False)]
+    code, out = _diff(tmp_path, before, after)
+    assert code == 1, out
+    assert "real solves: 0/2 -> 1/2" in out
+    code, out = _diff(tmp_path, after, after)
+    assert code == 0, out
+    assert "real solves: 1/2 -> 1/2" in out
+
+
+def test_recorder_reads_real_arithmetic_and_rows():
+    """The recorder notes whether the interior-point method ran real and on
+    how many rows: a real program with one imaginary row runs on the other
+    two, its complex twin on all three."""
+    script = """
+import json
+import numpy as np
+import fingerprint
+from secrecy import sdp
+rec = fingerprint.Recorder(sdp)
+rec.install([sdp])
+rec.begin_op("op")
+for c in (np.diag([1.0, 2.0]), np.array([[1.0, 1j], [-1j, 2.0]])):
+    prob = sdp.SdpProblem([2], [c])
+    prob.add_constraint({0: np.eye(2)}, 1.0)
+    prob.add_constraint({0: np.diag([1.0, 0.0])}, 0.25)
+    prob.add_constraint({0: sdp.herm_basis(2)[3]}, 0.0)
+    sdp.solve(prob)
+rec.uninstall()
+print(json.dumps([(r["real"], r["rows"], r["m"]) for r in rec.records]))
+"""
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tools")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[True, 2, 3], [False, 3, 3]]

@@ -306,19 +306,126 @@ def test_tolerances_respected():
 def test_unreachable_gap_returns_the_fallback_iterate():
     """A gap below rounding stalls; the run returns the first iterate that
     met the tightest fallback target, bit for bit what a solve at that
-    target returns."""
+    target returns.  It counts the iterations it ran, and its message names
+    the iteration of the returned iterate."""
     prob = strictly_feasible_sdp(np.random.default_rng(13))
     stalled = solve(prob, SdpTolerances(gap=1e-16, feas=1e-16))
     direct = solve(prob, SdpTolerances(gap=1e-7, feas=1e-7))
     assert stalled.status is SdpStatus.OPTIMAL, stalled.message
     assert stalled.gap_target == 1e-7
     assert direct.gap_target == 1e-7
-    assert stalled.iterations == direct.iterations
+    assert stalled.iterations > direct.iterations
+    assert f"iteration {direct.iterations} " in stalled.message
     assert stalled.dual_value == direct.dual_value
     assert stalled.primal_value == direct.primal_value
     assert np.array_equal(stalled.dual_y, direct.dual_y)
     for a, b in zip(stalled.primal_blocks, direct.primal_blocks, strict=True):
         assert np.array_equal(a, b)
+
+
+def _spy_ipm(monkeypatch):
+    """Record (dtype, rows) of every interior-point run."""
+    runs, ipm = [], sdp_mod._ipm
+
+    def spy(rc, tol, descale):
+        runs.append((rc.A.dtype, rc.m))
+        return ipm(rc, tol, descale)
+
+    monkeypatch.setattr(sdp_mod, "_ipm", spy)
+    return runs
+
+
+def _real_program_with_imaginary_rows(rng):
+    """Real blocks of size 3 and 2, strictly feasible on both sides: five
+    real rows, then the three imaginary herm_basis rows of block 0 and one
+    imaginary row over both blocks, all with b = 0.  Returns the problem
+    and its objective, rows (block -> matrix) and right-hand sides."""
+    dims = [3, 2]
+
+    def sym(d):
+        g = rng.normal(size=(d, d))
+        return g + g.T
+
+    def pd(d):
+        g = rng.normal(size=(d, d))
+        return g @ g.T + 0.5 * np.eye(d)
+
+    x0, s0 = [pd(d) for d in dims], [pd(d) for d in dims]
+    rows = [{j: sym(d) for j, d in enumerate(dims)} for _ in range(5)]
+    rhs = [sum(np.trace(a[j] @ x0[j]) for j in a) for a in rows]
+    c = [s0[j] + sum(y * a[j] for y, a in zip(rng.normal(size=5), rows))
+         for j in range(len(dims))]
+    flip = np.array([[0, 1j], [-1j, 0]])
+    rows += [{0: b} for b in herm_basis(3)[4::2]] \
+        + [{0: herm_basis(3)[4], 1: flip}]
+    rhs += [0.0] * 4
+    prob = SdpProblem(dims, c)
+    for a, r in zip(rows, rhs):
+        prob.add_constraint(a, float(r))
+    return prob, c, rows, rhs
+
+
+def test_real_program_runs_real_on_its_real_rows(monkeypatch):
+    """A real program and its twin, every block conjugated by a fixed
+    complex unitary, have the same optimum; only the real one runs in
+    float64, on its five real rows, with zero duals on the others and
+    complex Hermitian blocks returned."""
+    rng = np.random.default_rng(23)
+    prob, c, rows, rhs = _real_program_with_imaginary_rows(rng)
+    u = [np.linalg.qr(g[0] + 1j * g[1])[0]
+         for g in (rng.normal(size=(2, d, d)) for d in prob.block_dims)]
+    twin = SdpProblem(prob.block_dims,
+                      [uj @ cj @ uj.conj().T for uj, cj in zip(u, c)])
+    for a, r in zip(rows, rhs):
+        twin.add_constraint({j: u[j] @ m @ u[j].conj().T
+                             for j, m in a.items()}, r)
+    runs = _spy_ipm(monkeypatch)
+    real, cplx = solve(prob), solve(twin)
+    assert runs == [(np.float64, 5), (np.complex128, 9)]
+    for sol in (real, cplx):
+        assert sol.status is SdpStatus.OPTIMAL, sol.message
+        assert sol.primal_residual <= 1e-7 and sol.dual_residual <= 1e-7
+    assert real.dual_value == pytest.approx(cplx.dual_value, rel=1e-7)
+    assert real.primal_value == pytest.approx(cplx.primal_value, rel=1e-7)
+    assert np.all(real.dual_y[5:] == 0)
+    for blk in real.primal_blocks + real.dual_slack_blocks:
+        assert blk.dtype == complex
+        assert np.array_equal(blk, blk.conj().T)
+
+
+def test_imaginary_row_with_nonzero_rhs_stays_complex(monkeypatch):
+    """min <sigma_z, X> s.t. tr X = 1, <sigma_y, X> = 1/2: the Bloch vector
+    has y = 1/2, so the optimum is -sqrt(3)/2 (dropping the sigma_y row
+    would give -1)."""
+    prob = SdpProblem([2], [np.diag([1.0, -1.0])])
+    prob.add_constraint({0: np.eye(2)}, 1.0)
+    prob.add_constraint({0: np.array([[0, -1j], [1j, 0]])}, 0.5)
+    runs = _spy_ipm(monkeypatch)
+    sol = solve(prob)
+    assert runs == [(np.complex128, 2)]
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    assert sol.primal_value == pytest.approx(-np.sqrt(0.75), abs=1e-7)
+    assert sol.dual_value == pytest.approx(-np.sqrt(0.75), abs=1e-7)
+
+
+def test_real_infeasible_program_certificate_on_all_rows(monkeypatch):
+    """tr X = 1 and X_00 = 2 on a 2x2 block, with the imaginary row
+    Im X_01 = 0: the real path finds the Farkas certificate, returned over
+    all three rows and checked against the original ones."""
+    mats = [np.eye(2), np.diag([1.0, 0.0]), herm_basis(2)[3]]
+    rhs = np.array([1.0, 2.0, 0.0])
+    prob = SdpProblem([2])
+    for a, r in zip(mats, rhs):
+        prob.add_constraint({0: a}, r)
+    runs = _spy_ipm(monkeypatch)
+    sol = solve(prob)
+    assert runs == [(np.float64, 2)]
+    assert sol.status is SdpStatus.PRIMAL_INFEASIBLE, sol.message
+    y = sol.certificate["y"]
+    assert y.shape == (3,) and y[2] == 0
+    assert float(rhs @ y) == pytest.approx(1.0, abs=1e-12)
+    combo = sum(yi * a for yi, a in zip(y, mats))
+    assert np.linalg.eigvalsh(combo)[-1] <= 1e-6 * np.max(np.abs(y))
 
 
 def _schur_program(rng):
@@ -367,12 +474,7 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
              for d in prob.block_dims]
     rc = prob.compile()
     rc.scale()
-    # row i of the compiled matrix is conj(vec A_i)
-    rows = rc.A.toarray().conj()
-    want = np.zeros((rc.m, rc.m))
-    for j, sc in enumerate(scals):
-        a = rows[:, rc.offs[j]:rc.offs[j + 1]].reshape(rc.m, *sc.W.shape)
-        want += np.einsum("iab,kba->ik", a, sc.W @ a @ sc.W).real
+    want = _dense_schur(rc, scals)
     # blocks 0-2 are all dense rows, blocks 3 and 4 take every path
     blocks = rc.schur
     assert all(b.gather is None and b.columns is None for b in blocks[:3])
@@ -400,3 +502,66 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     for got in (one_chunk, chunked):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(got, got.T)
+    # a real program runs on its real rows, and its 16 x 16 block takes the
+    # index formulas on the compact K: the diagonal and real-part
+    # coordinates, d(d+1)/2 = 136 of them
+    orig = _real_schur_program(rng).compile()
+    keep = sdp_mod._real_rows(orig)
+    assert len(keep) == 252
+    rc = sdp_mod._Conic(orig.dims, orig.offs, orig.c_vec.real,
+                        orig.A[keep].real, orig.b[keep])
+    rc.scale()
+    scals = [sdp_mod._nt_block(*(g @ g.T + 0.3 * np.eye(d)
+                                 for g in rng.normal(size=(2, d, d))))
+             for d in rc.dims]
+    assert all(sc.W.dtype == np.float64 for sc in scals)
+    assert sdp_mod._wxw(scals[1].W).shape == (136, 136)
+    blk = rc.schur[1]
+    assert blk.gather is not None and blk.columns is not None and blk.chunks
+    assert blk.columns[1].shape[1] == 136
+    got = sdp_mod._schur(rc, scals)
+    want = _dense_schur(rc, scals)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(got, got.T)
+
+
+def _dense_schur(rc, scals):
+    """tr(A_i W A_k W) by dense products; row i of the compiled matrix is
+    conj(vec A_i)."""
+    rows = rc.A.toarray().conj()
+    want = np.zeros((rc.m, rc.m))
+    for j, sc in enumerate(scals):
+        a = rows[:, rc.offs[j]:rc.offs[j + 1]].reshape(rc.m, *sc.W.shape)
+        want += np.einsum("iab,kba->ik", a, sc.W @ a @ sc.W).real
+    return want
+
+
+def _real_schur_program(rng):
+    """A real program with blocks of size 2 and 16.  On the 16 block: two
+    dense rows, a row with two diagonal entries and one with two real
+    off-diagonal pairs, then the unit rows of every diagonal and real-part
+    coordinate in shuffled order; every tenth row is an imaginary unit row
+    with b = 0, which the real path drops."""
+    def sym(d):
+        g = rng.normal(size=(d, d))
+        return g + g.T
+
+    basis = herm_basis(16)
+    real_units = np.r_[0:16, 16:256:2]
+    units = iter(np.concatenate([rng.permutation(real_units)] * 2))
+    two_diag = np.diag([0.0] * 2 + [0.7] + [0.0] * 4 + [-1.3] + [0.0] * 8)
+    pairs = np.zeros((16, 16))
+    pairs[3, 9] = pairs[9, 3] = 0.4
+    pairs[2, 5] = pairs[5, 2] = -1.1
+    prob = SdpProblem([2, 16], [sym(2), sym(16)])
+    for k in range(280):
+        if k % 10 == 9:
+            prob.add_constraint({1: basis[17 + 2 * (k // 10)]}, 0.0)
+            continue
+        row = {1: {0: sym(16), 1: sym(16), 2: two_diag, 3: pairs}.get(k)}
+        if row[1] is None:
+            row[1] = rng.choice([-1.7, 0.6, 2.3]) * basis[next(units)]
+        if k % 3 == 0:
+            row[0] = sym(2)
+        prob.add_constraint(row, float(rng.normal()))
+    return prob

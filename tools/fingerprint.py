@@ -10,8 +10,9 @@ workload's operations with BLAS on one thread, and prints one JSON object
 per SDP solve: the operation and the solve's index within it, m, the block
 dims, a hash of the compiled (A, b, c), a hash of the interior-point result
 (status, iterations, tau, kappa, y, X, S), the iteration count, the status,
-the requested gap, the gap target the returned iterate met, whether the
-solve was relaxed and the dual value.  A solve counts as relaxed when it
+whether the interior-point method ran in real arithmetic and on how many
+rows, the requested gap, the gap target the returned iterate met, whether
+the solve was relaxed and the dual value.  A solve counts as relaxed when it
 met a gap target larger than the one requested (a stalled run that returned
 a fallback iterate), or when it re-solves a program of the same operation
 at a larger requested gap (the retry of a checkout that solves a stalled
@@ -21,11 +22,13 @@ outside the package, the way ``benchmarks/tracing.py`` wraps its layers;
 nothing in the package or the benchmark changes.
 
 ``--diff`` pairs the solves of two runs by operation and index, lists the
-pairs whose hashes differ, and totals iterations, numerical failures and
-relaxed solves on both sides.  The index counts the operation's settled
-solves: a solve that ended in numerical failure is keyed "<i> failed", after
-the settled solve before it, so that when one side fails and retries, the
-operation's later solves still pair with the same programs.  Equal hashes mean bit-identical programs and
+pairs whose hashes differ, and totals iterations, numerical failures,
+relaxed solves and solves run in real arithmetic on both sides (records
+without the ``real`` field, from before the real path, count as complex).
+The index counts the operation's settled solves: a solve that ended in
+numerical failure is keyed "<i> failed", after the settled solve before it,
+so that when one side fails and retries, the operation's later solves still
+pair with the same programs.  Equal hashes mean bit-identical programs and
 solver runs; the exit status is 0 then and 1 otherwise.
 """
 
@@ -115,7 +118,8 @@ class Recorder:
                                 np.array([raw.iterations]),
                                 np.frombuffer(raw.status.value.encode(),
                                               dtype=np.uint8)),
-                    iterations=raw.iterations, status=raw.status.value)
+                    iterations=raw.iterations, status=raw.status.value,
+                    real=not np.iscomplexobj(rc.A.data), rows=rc.m)
             return raw
 
         for mod in modules:
@@ -171,11 +175,12 @@ def _load(path: str) -> dict[tuple[str, object], dict]:
     return out
 
 
-def _totals(recs) -> tuple[int, int, int]:
+def _totals(recs) -> tuple[int, int, int, int]:
     recs = list(recs)
     return (sum(r["iterations"] for r in recs),
             sum(r["status"] == "NumericalFailure" for r in recs),
-            sum(r["relaxed"] for r in recs))
+            sum(r["relaxed"] for r in recs),
+            sum(r.get("real", False) for r in recs))
 
 
 def diff(before_path: str, after_path: str) -> int:
@@ -207,10 +212,11 @@ def diff(before_path: str, after_path: str) -> int:
               f"{b['status']} -> {a['status']}"
               + ("" if b["compile"] != a["compile"] else ", same program")
               + ("" if delta is None else f", |dvalue| {delta:.2e}"))
-    (ib, fb, rb), (ia, fa, ra) = _totals(before.values()), \
+    (ib, fb, rb, qb), (ia, fa, ra, qa) = _totals(before.values()), \
         _totals(after.values())
     print(f"iterations: {ib} -> {ia}; numerical failures: {fb} -> {fa}; "
           f"relaxed solves: {rb} -> {ra}")
+    print(f"real solves: {qb}/{len(before)} -> {qa}/{len(after)}")
     if moved:
         print(f"largest value change over differing solves: {max(moved):.2e}")
     identical = len(before) == len(after) == len(both) \
