@@ -19,6 +19,16 @@ conj(A^T y) = vec(sum_i y_i A_i); inner products of blocks are Re vdot.
 Infeasibility is reported through Farkas-type certificates extracted from
 the homogeneous iterate.
 
+The cone is held by block size, as SDPT3 splits a program into "s" blocks
+and one "l" block: the blocks of each size d >= 2 form one (k, d, d) stack
+(each matrix keeps its own eigenvalue floor), and the 1x1 blocks one
+nonnegative vector, the linear cone, scaled by w = sqrt(x/s), lam =
+sqrt(x s), stepped by a ratio test with no eigensolver and entered in the
+Schur complement as one product A_l diag(w^2) A_l^T.  Each step of an
+iteration runs once per size class, in the per-block order of operations,
+so iterates are those of a loop over blocks, bit for bit, except where the
+cone's Schur share meets another block's out of block order.
+
 Real data runs in real arithmetic over its real rows; results keep their
 types.  A program is real when C is real, each row is all real or all
 imaginary, and b = 0 on every imaginary row (exact tests, `_real_rows`).
@@ -135,6 +145,8 @@ class SdpProblem:
         for d, c in zip(self.block_dims, self.c_blocks):
             if c.shape != (d, d):
                 raise SdpError("objective block shape mismatch")
+            if not np.isfinite(c).all():
+                raise SdpError("objective block is not finite")
             if np.max(np.abs(c - c.conj().T)) > 1e-8:
                 raise SdpError("objective block is not Hermitian")
         # (row, block, r, c, value) arrays, one tuple per batch of rows
@@ -168,8 +180,12 @@ class SdpProblem:
 
         `row` counts from 0 within the batch and `rhs` holds one entry per
         row.  Repeated (row, block, r, c) entries are summed in the order
-        given; every row must be Hermitian in each block and not all zero.
+        given; every row must be finite, Hermitian in each block and not all
+        zero.
         """
+        rhs = np.asarray(rhs, dtype=complex)
+        if not (np.isfinite(val).all() and np.isfinite(rhs).all()):
+            raise SdpError("constraint data is not finite")
         nb = len(self.block_dims)
         bad = (blk < 0) | (blk >= nb)
         if bad.any():
@@ -191,7 +207,6 @@ class SdpProblem:
         if (np.abs(val_sum - mirror.conj()) > 1e-8).any():
             raise SdpError("constraint block is not Hermitian")
         live = val_sum != 0
-        rhs = np.asarray(rhs, dtype=complex)
         if (np.bincount(row[live], minlength=len(rhs)) == 0).any():
             raise SdpError("constraint matrix is identically zero")
         if (np.abs(rhs.imag) > 1e-10).any():
@@ -238,7 +253,8 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 
 class _Conic:
-    """Compiled Hermitian problem; `scale` adds the per-block views."""
+    """Compiled Hermitian problem; `scale` adds the size classes and the
+    Schur-assembly views."""
 
     def __init__(self, dims, offs, c_vec, a, b):
         self.dims = dims
@@ -249,7 +265,7 @@ class _Conic:
         self.m = len(b)
 
     def scale(self) -> tuple[np.ndarray, float, float]:
-        """Pre-scale in place and build the Schur-assembly views.
+        """Pre-scale in place and lay out the size classes and views.
 
         Rows of A and b are divided by the row norms of A, then b and c by
         their norms (when above 1); returns (row norms, b scale, c scale).
@@ -279,11 +295,35 @@ class _Conic:
         sc = max(1.0, float(np.linalg.norm(self.c_vec)))
         self.b = b_s / sb
         self.c_vec = self.c_vec / sc
-        # per-block Schur-assembly views, from the scaled rows
-        self.schur = []
-        for j, d in enumerate(self.dims):
-            sub = self.A[:, self.offs[j]:self.offs[j + 1]].tocoo()
-            self.schur.append(_schur_block(sub, d))
+        # size classes, ascending (the linear cone first): their positions
+        # in the full vector, and each block's (class, index)
+        dims = np.asarray(self.dims)
+        sizes = np.unique(dims)
+        self.classes, pos = [], np.zeros(len(dims), dtype=int)
+        for d in sizes:
+            js = np.flatnonzero(dims == d)
+            pos[js] = np.arange(len(js))
+            self.classes.append((int(d), np.asarray(self.offs)[js, None]
+                                 + np.arange(d * d)))
+        self.where = list(zip(np.searchsorted(sizes, dims).tolist(),
+                              pos.tolist()))
+        # one pass over the entries, by block in stored order: a Schur view
+        # per block of size d >= 2, dense columns for the linear cone
+        row = np.repeat(np.arange(self.m), lens)
+        blk = np.repeat(np.arange(len(dims)), dims * dims)[self.A.indices]
+        order = np.argsort(blk, kind="stable")
+        cuts = np.searchsorted(blk[order], np.arange(len(dims) + 1))
+        parts = [order[cuts[j]:cuts[j + 1]] for j in range(len(dims))]
+        self.schur = [_schur_block(row[e], self.A.indices[e] - self.offs[j],
+                                   self.A.data[e], int(dims[j]), self.where[j])
+                      for j, e in enumerate(parts) if dims[j] > 1]
+        self.lin = None
+        if sizes[0] == 1:
+            e = np.flatnonzero(dims[blk] == 1)
+            act, rows = np.unique(row[e], return_inverse=True)
+            al = np.zeros((len(act), len(self.classes[0][1])), self.A.dtype)
+            al[rows, pos[blk[e]]] = self.A.data[e]
+            self.lin = (al, _ix(act, act))
         return row_scale, sb, sc
 
     def op(self, x: np.ndarray) -> np.ndarray:
@@ -301,9 +341,25 @@ class _Conic:
         return [v[self.offs[j]:self.offs[j + 1]].reshape(d, d)
                 for j, d in enumerate(self.dims)]
 
+    def stacks(self, v: np.ndarray) -> list[np.ndarray]:
+        """The size-class (k, d, d) stacks of a full vector (after `scale`)."""
+        return [v[idx].reshape(-1, d, d) for d, idx in self.classes]
+
+    def flat(self, stacks: list[np.ndarray]) -> np.ndarray:
+        """The full vector of size-class stacks."""
+        out = np.empty(self.offs[-1], dtype=np.result_type(*stacks))
+        for (_, idx), st in zip(self.classes, stacks):
+            out[idx] = st.reshape(idx.shape)
+        return out
+
+
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
 
 def _herm(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _ct(m))
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -312,13 +368,15 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _eigh_floor(mat: np.ndarray):
+    """eigh of a stack, each matrix's eigenvalues floored at 1e-14 of its
+    largest and at 1e-300."""
     vals, vecs = np.linalg.eigh(mat)
-    floor = max(1e-14 * float(vals[-1]), 1e-300) if vals[-1] > 0 else 1e-300
-    return np.maximum(vals, floor), vecs
+    return np.maximum(vals, np.maximum(1e-14 * vals[..., -1:], 1e-300)), vecs
 
 
 @dataclass
 class _Scal:
+    """NT scaling of one size class, as (k, d, d) stacks (lv: (k, d))."""
     W: np.ndarray
     R: np.ndarray
     Ri: np.ndarray
@@ -328,18 +386,30 @@ class _Scal:
 
 
 def _nt_block(x: np.ndarray, s: np.ndarray) -> _Scal:
+    """NT scaling of a size class; on the linear cone w = sqrt(x/s) and
+    lam = sqrt(x s), evaluated as the 1x1 case of the matrix formulas, in
+    their order of operations (a 1x1 eigh gives the entry and 1)."""
+    if x.shape[-1] == 1:
+        x, s = x.real, s.real
+        s_half = np.sqrt(np.maximum(s, 1e-300))
+        s_mh = 1.0 / s_half
+        w = s_mh * np.sqrt(np.maximum(s_half * x * s_half, 1e-300)) * s_mh
+        r = np.sqrt(np.maximum(w, 1e-300))
+        lam = 0.5 * ((1.0 / r) * x * (1.0 / r) + r * s * r)
+        return _Scal(w, r, 1.0 / r, lam, np.maximum(lam, 1e-300)[..., 0],
+                     np.ones_like(lam))
     sv, sq = _eigh_floor(s)
-    sqh = sq.conj().T
-    s_half = (sq * np.sqrt(sv)) @ sqh
-    s_mh = (sq / np.sqrt(sv)) @ sqh
+    sqh = _ct(sq)
+    s_half = (sq * np.sqrt(sv)[..., None, :]) @ sqh
+    s_mh = (sq / np.sqrt(sv)[..., None, :]) @ sqh
     t = _herm(s_half @ x @ s_half)
     tv, tq = _eigh_floor(t)
-    t_half = (tq * np.sqrt(tv)) @ tq.conj().T
+    t_half = (tq * np.sqrt(tv)[..., None, :]) @ _ct(tq)
     w = _herm(s_mh @ t_half @ s_mh)
     wv, wq = _eigh_floor(w)
-    wqh = wq.conj().T
-    r = (wq * np.sqrt(wv)) @ wqh
-    ri = (wq / np.sqrt(wv)) @ wqh
+    wqh = _ct(wq)
+    r = (wq * np.sqrt(wv)[..., None, :]) @ wqh
+    ri = (wq / np.sqrt(wv)[..., None, :]) @ wqh
     lam = _herm(0.5 * (ri @ x @ ri + r @ s @ r))
     lv, lq = _eigh_floor(lam)
     return _Scal(w, r, ri, lam, lv, lq)
@@ -347,17 +417,22 @@ def _nt_block(x: np.ndarray, s: np.ndarray) -> _Scal:
 
 def _lyap(scal: _Scal, t: np.ndarray) -> np.ndarray:
     """Solve lam o U = T (o = symmetrized product) in lam's eigenbasis."""
-    qh = scal.lQ.conj().T
+    qh = _ct(scal.lQ)
     tt = qh @ t @ scal.lQ
-    u = 2.0 * tt / (scal.lv[:, None] + scal.lv[None, :])
+    u = 2.0 * tt / (scal.lv[..., :, None] + scal.lv[..., None, :])
     return scal.lQ @ u @ qh
 
 
 def _alpha_psd(scal: _Scal, dt: np.ndarray) -> float:
-    """Largest alpha with lam + alpha*dt >= 0 (dt in scaled space)."""
-    a = scal.lQ.conj().T @ dt @ scal.lQ
+    """Largest alpha with lam + alpha*dt >= 0 for every dt of a class's
+    (..., k, d, d) stack (in scaled space); a ratio test on the 1x1 class."""
     rs = 1.0 / np.sqrt(scal.lv)
-    emin = float(np.linalg.eigvalsh(_herm(a * rs[:, None] * rs[None, :]))[0])
+    if dt.shape[-1] == 1:
+        emin = float(np.min(dt.real[..., 0] * rs * rs))
+    else:
+        a = _ct(scal.lQ) @ dt @ scal.lQ
+        emin = float(np.linalg.eigvalsh(
+            _herm(a * rs[..., :, None] * rs[..., None, :]))[..., 0].min())
     return math.inf if emin >= -1e-16 else 1.0 / (-emin)
 
 
@@ -446,35 +521,39 @@ class _SchurBlock:
     the unit rows; `columns` holds (coordinates of the other index rows,
     coordinates of all index rows, column index, mirror index, unit rows
     among the index rows); `chunks` holds (stacked A_k, column index,
-    mirror index) per chunk of dense rows, and `index_rows` picks the index
-    rows out of a dense column."""
+    mirror index) per chunk of dense rows, `index_rows` picks the index
+    rows out of a dense column; W is scals[at[0]].W[at[1]]."""
 
     acol: sp.csr_matrix
     gather: tuple | None
     columns: tuple | None
     index_rows: object
     chunks: list
+    at: tuple
 
 
-def _schur_block(sub: sp.coo_matrix, d: int) -> _SchurBlock:
-    """Split the active rows of one block's columns (rows conj(vec A_i))
-    by `_index_rows`, and lay out both paths."""
-    act, rows = np.unique(sub.row, return_inverse=True)
+def _schur_block(row, col, data, d: int, at: tuple) -> _SchurBlock:
+    """Split the active rows of one block's entries (rows conj(vec A_i))
+    by `_index_rows`, and lay out both paths; `at` locates its W."""
+    act, rows = np.unique(row, return_inverse=True)
     n = len(act)
-    acol = sp.csr_matrix((sub.data, (rows, sub.col)), shape=(n, d * d))
+    # entries by row, then by column: the CSR layout of acol and atall
+    o = np.lexsort((col, rows))
+    rows, col, data = rows[o], col[o], data[o]
+    acol = _csr(data, col, rows, n, d * d)
     index = np.zeros(n, dtype=bool)
     gather = columns = None
     # real coordinates of the Hermitian part of each A_i over herm_basis
     # (the diagonal, then Re and Im of each entry above it; a real block
     # keeps the diagonal and Re, the compact K of `_wxw`), unless building
     # K costs more than the F1 product of every row
-    if n * (d ** 3 + sub.nnz) > _K_FIXED + _K_ENTRY * d ** 4:
-        r, c = np.divmod(sub.col, d)
+    if n * (d ** 3 + len(data)) > _K_FIXED + _K_ENTRY * d ** 4:
+        r, c = np.divmod(col, d)
         lo, hi = np.minimum(r, c), np.maximum(r, c)
-        pair = 2 if np.iscomplexobj(sub.data) else 1
+        pair = 2 if np.iscomplexobj(data) else 1
         pos = np.where(lo == hi, lo, d + pair * (lo * d - lo * (lo + 1) // 2
                                                  + hi - lo - 1))
-        a = sub.data.conj()                    # the entries A_i[r, c]
+        a = data.conj()                    # the entries A_i[r, c]
         off = lo != hi
         im = off & (a.imag != 0)
         coords = sp.csr_matrix(
@@ -485,7 +564,7 @@ def _schur_block(sub: sp.coo_matrix, d: int) -> _SchurBlock:
             shape=(n, d + pair * (d * (d - 1) // 2)))
         coords.eliminate_zeros()
         q = np.diff(coords.indptr)
-        index = _index_rows(q, d, sub.nnz)
+        index = _index_rows(q, d, len(data))
     idx, dense = np.flatnonzero(index), np.flatnonzero(~index)
     if len(idx):
         unit, multi = idx[q[idx] == 1], idx[q[idx] > 1]
@@ -501,10 +580,8 @@ def _schur_block(sub: sp.coo_matrix, d: int) -> _SchurBlock:
     pick = np.full(n, -1)
     pick[dense] = np.arange(len(dense))
     keep = pick[rows] >= 0
-    atall = sp.csr_matrix(
-        (sub.data[keep].conj(),
-         (pick[rows[keep]] * d + sub.col[keep] // d, sub.col[keep] % d)),
-        shape=(len(dense) * d, d))
+    atall = _csr(data[keep].conj(), col[keep] % d,
+                 pick[rows[keep]] * d + col[keep] // d, len(dense) * d, d)
     rows_per = max(1, _SCHUR_CHUNK // (d * d))
     chunks = []
     for c0 in range(0, len(dense), rows_per):
@@ -513,23 +590,23 @@ def _schur_block(sub: sp.coo_matrix, d: int) -> _SchurBlock:
         chunks.append((atall if c1 - c0 == len(dense) else atall[c0 * d:c1 * d],
                        _ix(act, cols),
                        _ix(cols, act[idx]) if len(idx) else None))
-    return _SchurBlock(acol, gather, columns, _run(idx), chunks)
+    return _SchurBlock(acol, gather, columns, _run(idx), chunks, at)
+
+
+def _csr(data, cols, rows, n: int, width: int) -> sp.csr_matrix:
+    """The n x width CSR of entries sorted by row, then by column."""
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((data, cols, ptr), shape=(n, width))
 
 
 def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
-    """H_ik = Re tr(A_i W A_k W), split by row per block (`_schur_block`).
-
-    The cost rule `_index_rows` splits each block's active rows once per
-    solve.  Index rows, few real Hermitian-basis coordinates x_i each, take
-    H_ik = x_i K x_k^T with K from `_wxw`: a scaled gather of K between
-    `herm_basis` unit rows, and K times their coordinates for a column of
-    any other index row.  Dense rows take the F1 product W A_k W against
-    every active row.  A column not gathered is written as a column and as
-    a row; blocks write through slices where their rows run, and both
-    triangles are kept and averaged in place."""
+    """H_ik = Re tr(A_i W A_k W): each block of size >= 2 along the paths
+    `_schur_block` laid out (module docstring), then the linear cone's
+    A_l (W A_l W)^T; both triangles are kept and averaged in place."""
     big = np.zeros((rc.m, rc.m))
-    for blk, scal in zip(rc.schur, scals):
-        w = scal.W
+    for blk in rc.schur:
+        c, p = blk.at
+        w = scals[c].W[p]
         d = w.shape[0]
         if blk.gather is not None or blk.columns is not None:
             k = _wxw(w)
@@ -552,6 +629,10 @@ def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
             big[cols] += contrib
             if mirror is not None:
                 big[mirror] += contrib[blk.index_rows].T
+    if rc.lin is not None:     # the linear cone is class 0
+        al, ix = rc.lin
+        w = scals[0].W.reshape(-1)
+        big[ix] += (al @ (w * (al.conj() * w)).T).real
     _symmetrize(big)
     return big
 
@@ -567,12 +648,8 @@ def _symmetrize(big: np.ndarray) -> None:
 
 
 def _w_apply(rc: _Conic, scals: list[_Scal], v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    for j, d in enumerate(rc.dims):
-        sl = slice(rc.offs[j], rc.offs[j + 1])
-        w = scals[j].W
-        out[sl] = (w @ v[sl].reshape(d, d) @ w).reshape(-1)
-    return out
+    """vec(W V W), one stacked product per size class."""
+    return rc.flat([sc.W @ st @ sc.W for sc, st in zip(scals, rc.stacks(v))])
 
 
 def _make_solver(big: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -602,15 +679,15 @@ class _RawResult:
     gap_target: float | None
 
 
-def _step(scals: list[_Scal], dx_b, ds_b, tau, kap, dtau, dkap,
+def _step(scals: list[_Scal], dxs, dss, tau, kap, dtau, dkap,
           cap: float, damp: float):
     """Step length min(1, damp * alpha), alpha <= cap the largest step that
     keeps X, S, tau and kappa in their cones; also returns the directions
-    in the scaled space."""
-    dxt = [_herm(sc.Ri @ dx @ sc.Ri) for sc, dx in zip(scals, dx_b)]
-    dst = [_herm(sc.R @ ds @ sc.R) for sc, ds in zip(scals, ds_b)]
-    alpha = min([cap] + [_alpha_psd(sc, t)
-                         for sc, t in zip(scals + scals, dxt + dst)])
+    in the scaled space, as size-class stacks."""
+    dxt = [_herm(sc.Ri @ dx @ sc.Ri) for sc, dx in zip(scals, dxs)]
+    dst = [_herm(sc.R @ ds @ sc.R) for sc, ds in zip(scals, dss)]
+    alpha = min([cap] + [_alpha_psd(sc, np.stack([t, u]))
+                         for sc, t, u in zip(scals, dxt, dst)])
     if dtau < 0:
         alpha = min(alpha, -tau / dtau)
     if dkap < 0:
@@ -619,10 +696,11 @@ def _step(scals: list[_Scal], dx_b, ds_b, tau, kap, dtau, dkap,
 
 
 def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
-    nb = len(rc.dims)
+    """The interior-point loop on a scaled `_Conic`, over size classes."""
     nu = float(sum(rc.dims))
-    xb = [np.eye(d, dtype=rc.c_vec.dtype) for d in rc.dims]
-    sb = [np.eye(d, dtype=rc.c_vec.dtype) for d in rc.dims]
+    xs = [np.broadcast_to(np.eye(d, dtype=rc.c_vec.dtype), (len(idx), d, d))
+          .copy() for d, idx in rc.classes]
+    ss = [st.copy() for st in xs]
     y = np.zeros(rc.m)
     tau, kap = 1.0, 1.0
     c, b = rc.c_vec, rc.b
@@ -637,13 +715,13 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
     def try_certificates(quality: float) -> SdpStatus | None:
         by = float(b @ y)
         if by > 1e-12:
-            u = y / by
-            z = rc.unvec(-rc.adj(u))
-            scale = max(1.0, max(float(np.max(np.abs(zj))) for zj in z))
-            emin = min(float(np.linalg.eigvalsh(_herm(zj))[0]) for zj in z)
+            z = -rc.adj(y / by)
+            scale = max(1.0, float(np.max(np.abs(z))))
+            emin = min(float(np.linalg.eigvalsh(_herm(zc))[:, 0].min())
+                       for zc in rc.stacks(z))
             if emin >= -quality * scale:
                 return SdpStatus.PRIMAL_INFEASIBLE
-        x = rc.vec(xb)
+        x = rc.flat(xs)
         cx = _dot(c, x)
         if cx < -1e-12:
             wv = x / (-cx)
@@ -652,8 +730,9 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         return None
 
     for it in range(1, tol.max_iter + 1):
-        x = rc.vec(xb)
-        s = rc.vec(sb)
+        x = rc.flat(xs)
+        s = rc.flat(ss)
+        ax, aty = rc.op(x), rc.adj(y)
         mu = (_dot(x, s) + tau * kap) / (nu + 1.0)
 
         # de-homogenized optimality test, in original data units
@@ -662,16 +741,16 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             pv = _dot(c, x) / tau * obj
             dv = float(b @ y) / tau * obj
             pres = scale_b * float(np.linalg.norm(
-                (rc.op(x) / tau - b) * row_scale)) / normb
+                (ax / tau - b) * row_scale)) / normb
             dres = scale_c * float(np.linalg.norm(
-                c - rc.adj(y) / tau - s / tau)) / normc
+                c - aty / tau - s / tau)) / normc
             gap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
             if pres <= tol.feas and dres <= tol.feas and gap <= tol.gap:
                 status, msg = SdpStatus.OPTIMAL, "converged"
                 break
             for g in rungs:
                 if gap <= g and max(pres, dres) <= max(tol.feas, g):
-                    kept.setdefault(g, (list(xb), y, list(sb), tau, kap, it))
+                    kept.setdefault(g, (xs, y, ss, tau, kap, it))
         if rungs and rungs[0] in kept \
                 and it - kept[rungs[0]][-1] >= _FALLBACK_PATIENCE:
             break
@@ -684,7 +763,7 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             break
 
         # Nesterov-Todd scaling and Schur factorization
-        scals = [_nt_block(xb[j], sb[j]) for j in range(nb)]
+        scals = [_nt_block(xc, sc) for xc, sc in zip(xs, ss)]
         big = _schur(rc, scals)
         solver = _make_solver(big)
         wc = _w_apply(rc, scals, c)
@@ -695,7 +774,7 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         den = float(bmawc @ u1) + cwc + kap / tau
 
         def directions(rhs_p, rhs_d, rhs_g, rhs_tk, us):
-            lt = rc.vec([scals[j].R @ us[j] @ scals[j].R for j in range(nb)])
+            lt = rc.flat([sc.R @ u @ sc.R for sc, u in zip(scals, us)])
             wrd = _w_apply(rc, scals, rhs_d)
             rhs1 = rhs_p - rc.op(lt) - rc.op(wrd)
             rhs2 = rhs_g + _dot(c, lt) + _dot(wc, rhs_d) + rhs_tk / tau
@@ -707,14 +786,14 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             dkap = (rhs_tk - kap * dtau) / tau
             return dx, dy, ds, dtau, dkap
 
-        rp = rc.op(x) - b * tau
-        rd = -rc.adj(y) + c * tau - s
+        rp = ax - b * tau
+        rd = -aty + c * tau - s
         rg = float(b @ y) - _dot(c, x) - kap
 
         # affine (predictor) direction
-        us_aff = [-scals[j].lam for j in range(nb)]
+        us_aff = [-sc.lam for sc in scals]
         dxa, dya, dsa, dta, dka = directions(-rp, -rd, -rg, -tau * kap, us_aff)
-        alpha_aff, dxt_a, dst_a = _step(scals, rc.unvec(dxa), rc.unvec(dsa),
+        alpha_aff, dxt_a, dst_a = _step(scals, rc.stacks(dxa), rc.stacks(dsa),
                                         tau, kap, dta, dka, 1.0, 0.98)
 
         mu_aff = ((_dot(x + alpha_aff * dxa, s + alpha_aff * dsa)
@@ -723,15 +802,15 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         # combined (corrector) direction
-        us = [_lyap(sc, _herm(sigma * mu * np.eye(d) - sc.lam @ sc.lam
-                              - _herm(dxt @ dst)))
-              for sc, d, dxt, dst in zip(scals, rc.dims, dxt_a, dst_a)]
+        us = [_lyap(sc, _herm(sigma * mu * np.eye(sc.lam.shape[-1])
+                              - sc.lam @ sc.lam - _herm(dxt @ dst)))
+              for sc, dxt, dst in zip(scals, dxt_a, dst_a)]
         f = 1.0 - sigma
         dx, dy, ds, dta2, dka2 = directions(
             -f * rp, -f * rd, -f * rg,
             sigma * mu - tau * kap - dta * dka, us)
-        dx_b, ds_b = rc.unvec(dx), rc.unvec(ds)
-        step, _, _ = _step(scals, dx_b, ds_b, tau, kap, dta2, dka2,
+        dxs, dss = rc.stacks(dx), rc.stacks(ds)
+        step, _, _ = _step(scals, dxs, dss, tau, kap, dta2, dka2,
                            1.0 / 0.98, 0.98)
 
         stall = stall + 1 if step < 1e-8 else 0
@@ -739,9 +818,8 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             msg = "step size collapsed"
             break
 
-        for j in range(nb):
-            xb[j] = _herm(xb[j] + step * dx_b[j])
-            sb[j] = _herm(sb[j] + step * ds_b[j])
+        xs = [_herm(xc + step * dxc) for xc, dxc in zip(xs, dxs)]
+        ss = [_herm(sc + step * dsc) for sc, dsc in zip(ss, dss)]
         y = y + step * dy
         tau += step * dta2
         kap += step * dka2
@@ -753,13 +831,14 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
             status, msg = cert, "certificate found after iteration limit"
         elif kept:
             target = min(kept)
-            xb, y, sb, tau, kap, at = kept[target]
+            xs, y, ss, tau, kap, at = kept[target]
             status = SdpStatus.OPTIMAL
             msg = (f"stalled; returned the iterate of iteration {at} "
                    f"at gap target {target:g}")
         else:
             status = SdpStatus.NUMERICAL_FAILURE
             msg = msg or "iteration limit reached"
+    xb, sb = ([st[c][p] for c, p in rc.where] for st in (xs, ss))
     return _RawResult(status, xb, y, sb, tau, kap, it, msg, target)
 
 

@@ -59,7 +59,26 @@ def test_differing_runs_exit_one_with_totals(tmp_path):
     assert "IPM hashes equal: 1/2" in out
     assert "iterations: 22 -> 67; numerical failures: 0 -> 1; " \
            "relaxed solves: 0 -> 1" in out
-    assert "largest value change over differing solves: 2.50e-03" in out
+    assert "  relaxed gained: op #0\n" in out
+    assert "largest value change over relaxed solves: 2.50e-03" in out
+    assert "converged on both sides" not in out
+
+
+def test_value_changes_of_converged_and_relaxed_solves_apart(tmp_path):
+    """A relaxed pair's large move does not hide the largest move among
+    pairs converged on both sides; each flip of the relaxed flag is named."""
+    before = [_rec(0), _rec(1, relaxed=True), _rec(2), _rec(3)]
+    after = [_rec(0, ipm="a", value=1.0 + 3e-9),
+             _rec(1, ipm="b", value=1.0 - 4e-8),
+             _rec(2, ipm="c", relaxed=True, value=1.0 + 2e-6),
+             _rec(3, ipm="d", value=1.0 - 1e-10)]
+    code, out = _diff(tmp_path, before, after)
+    assert code == 1, out
+    assert "relaxed solves: 1 -> 1" in out
+    assert "  relaxed lost: op #1\n  relaxed gained: op #2\n" in out
+    assert "largest value change over solves converged on both sides: " \
+           "3.00e-09" in out
+    assert "largest value change over relaxed solves: 2.00e-06" in out
 
 
 def test_real_solves_counted_without_the_fields_before(tmp_path):

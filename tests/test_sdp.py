@@ -214,6 +214,149 @@ def test_malformed_rejected():
         lb.build()
 
 
+def test_non_finite_data_rejected():
+    """NaN or inf in C, in b or in a constraint entry is malformed data (it
+    used to run to the iteration limit), also through the LMI builder."""
+    with pytest.raises(SdpError, match="not finite"):
+        SdpProblem([2], [np.diag([1.0, np.nan])])
+    for blocks, rhs in (({0: np.eye(2)}, np.nan),
+                        ({0: np.diag([1.0, np.inf])}, 1.0),
+                        ({0: np.array([[1.0, np.nan], [np.nan, 0.0]])}, 1.0)):
+        prob = SdpProblem([2])
+        with pytest.raises(SdpError, match="not finite"):
+            prob.add_constraint(blocks, rhs)
+        assert prob.num_constraints == 0
+    lb = LmiBuilder()
+    t = lb.real_var("t")
+    lb.add_scalar(lb.new_block(1), t, [[np.inf]])
+    with pytest.raises(SdpError, match="not finite"):
+        lb.build()
+
+
+def _lp(c, rows, rhs):
+    """The LP min c.x s.t. rows @ x = rhs, x >= 0, with one 1x1 block per
+    variable."""
+    prob = SdpProblem([1] * len(c), [[[ci]] for ci in c])
+    for row, r in zip(rows, rhs):
+        prob.add_constraint({j: [[a]] for j, a in enumerate(row) if a}, r)
+    return prob
+
+
+def test_pure_lp_on_the_linear_cone():
+    """min c.x s.t. sum x = 1 over 1x1 blocks alone: the value is min c_i,
+    taken at that vertex, and the dual is y = min c_i; blocks come back one
+    per original block, complex and 1x1."""
+    c = [0.7, -0.4, 1.3, -0.1, 2.0]
+    prob = _lp(c, [[1.0] * 5], [1.0])
+    rc = prob.compile()
+    rc.scale()
+    assert [d for d, _ in rc.classes] == [1] and rc.lin[0].shape == (1, 5)
+    sol = solve(prob)
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    assert sol.primal_value == pytest.approx(-0.4, abs=1e-8)
+    assert sol.dual_value == pytest.approx(-0.4, abs=1e-8)
+    assert sol.dual_y[0] == pytest.approx(-0.4, abs=1e-8)
+    x = np.array([blk[0, 0] for blk in sol.primal_blocks])
+    assert all(blk.shape == (1, 1) and blk.dtype == complex
+               for blk in sol.primal_blocks + sol.dual_slack_blocks)
+    assert np.allclose(x.real, [0, 1, 0, 0, 0], atol=1e-7)
+
+
+def test_infeasible_lp_farkas_certificate():
+    """x1 + x2 = 1 and x1 + x2 + x3 = 1/2 force x3 = -1/2: the Farkas
+    certificate y has b.y = 1 and sum_i y_i A_i <= 0 on every original
+    block."""
+    rows, rhs = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]), [1.0, 0.5]
+    sol = solve(_lp([0.0, 0.0, 0.0], rows, rhs))
+    assert sol.status is SdpStatus.PRIMAL_INFEASIBLE, sol.message
+    y = sol.certificate["y"]
+    assert float(np.dot(rhs, y)) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(y @ rows <= 1e-6 * np.max(np.abs(y)))
+    for blk, col in zip(sol.certificate["slack_blocks"], y @ rows):
+        assert blk[0, 0].real == pytest.approx(-col, abs=1e-12)
+
+
+def test_unbounded_lp_improving_ray():
+    """min -x1 s.t. x1 - x2 = 0: the ray x1 = x2 improves without bound;
+    the certificate is that ray with <C, X> = -1."""
+    sol = solve(_lp([-1.0, 0.0], [[1.0, -1.0]], [0.0]))
+    assert sol.status is SdpStatus.DUAL_INFEASIBLE, sol.message
+    ray = np.array([blk[0, 0].real for blk in sol.certificate["blocks"]])
+    assert np.all(ray >= -1e-8)
+    assert ray[0] == pytest.approx(1.0, abs=1e-8)
+    assert ray[0] - ray[1] == pytest.approx(0.0, abs=1e-7)
+
+
+def test_mixed_program_with_a_slack_block():
+    """min <C, X> s.t. tr X + t = 1 with a 1x1 slack t: for C with only
+    negative eigenvalues the optimum is lambda_min(C), at t = 0 and X the
+    projector on its eigenvector."""
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        h = rand_herm(4, rng)
+        c = h - (np.linalg.eigvalsh(h)[-1] + 0.5) * np.eye(4)
+        prob = SdpProblem([4, 1], [c, np.zeros((1, 1))])
+        prob.add_constraint({0: np.eye(4), 1: [[1.0]]}, 1.0)
+        sol = solve(prob)
+        assert sol.status is SdpStatus.OPTIMAL, sol.message
+        vals, vecs = np.linalg.eigh(c)
+        assert sol.primal_value == pytest.approx(vals[0], abs=1e-7)
+        assert sol.dual_value == pytest.approx(vals[0], abs=1e-7)
+        assert abs(sol.primal_blocks[1][0, 0]) <= 1e-7
+        proj = np.outer(vecs[:, 0], vecs[:, 0].conj())
+        assert np.max(np.abs(sol.primal_blocks[0] - proj)) <= 1e-4
+
+
+def test_program_without_a_linear_cone():
+    """Blocks of size 3 and 2 under one trace row: no linear cone, and the
+    value is the smaller lambda_min of the two objectives."""
+    rng = np.random.default_rng(31)
+    c = [rand_herm(3, rng), rand_herm(2, rng)]
+    prob = SdpProblem([3, 2], c)
+    prob.add_constraint({0: np.eye(3), 1: np.eye(2)}, 1.0)
+    rc = prob.compile()
+    rc.scale()
+    assert rc.lin is None and [d for d, _ in rc.classes] == [2, 3]
+    sol = solve(prob)
+    assert sol.status is SdpStatus.OPTIMAL, sol.message
+    want = min(np.linalg.eigvalsh(cj)[0] for cj in c)
+    assert sol.primal_value == pytest.approx(want, abs=1e-7)
+    assert sol.dual_value == pytest.approx(want, abs=1e-7)
+
+
+def test_stacked_scaling_matches_stacks_of_one():
+    """The NT scaling of a class of k blocks equals, bit for bit, that of
+    each block as a stack of one, on matrix classes and on the linear cone;
+    permuting blocks of equal size moves a program's value by <= 1e-9."""
+    rng = np.random.default_rng(37)
+    for d in (1, 2, 4):
+        x, s = (np.stack([rand_pd(d, rng) for _ in range(3)]) for _ in "xs")
+        whole = sdp_mod._nt_block(x, s)
+        for i in range(3):
+            one = sdp_mod._nt_block(x[i:i + 1], s[i:i + 1])
+            for field in ("W", "R", "Ri", "lam", "lv", "lQ"):
+                assert np.array_equal(getattr(whole, field)[i:i + 1],
+                                      getattr(one, field)), (d, field)
+    dims, m = [3, 2, 3, 1, 2, 1], 5
+    x0, s0 = [rand_pd(d, rng) for d in dims], [rand_pd(d, rng) for d in dims]
+    rows = [[rand_herm(d, rng) for d in dims] for _ in range(m)]
+    y0 = rng.normal(size=m)
+    c = [s0[j] + sum(y * a[j] for y, a in zip(y0, rows))
+         for j in range(len(dims))]
+    rhs = [sum(np.trace(a[j] @ x0[j]).real for j in range(len(dims)))
+           for a in rows]
+    values = []
+    for perm in ([0, 1, 2, 3, 4, 5], [2, 4, 0, 5, 1, 3]):
+        assert [dims[j] for j in perm] == dims
+        prob = SdpProblem(dims, [c[j] for j in perm])
+        for a, r in zip(rows, rhs):
+            prob.add_constraint({k: a[j] for k, j in enumerate(perm)}, r)
+        sol = solve(prob)
+        assert sol.status is SdpStatus.OPTIMAL, sol.message
+        values.append(sol.dual_value)
+    assert abs(values[0] - values[1]) <= 1e-9
+
+
 def test_builder_compile_and_scaling_match_loop_reference():
     """Vectorised placement, embedding and row scaling against plain loops."""
     rng = np.random.default_rng(21)
@@ -470,34 +613,39 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     two coordinates, through slices and through index arrays."""
     rng = np.random.default_rng(17)
     prob = _schur_program(rng)
-    scals = [sdp_mod._nt_block(rand_pd(d, rng), rand_pd(d, rng))
-             for d in prob.block_dims]
     rc = prob.compile()
     rc.scale()
+    scals = _class_scals(rc, lambda d: rand_pd(d, rng))
     want = _dense_schur(rc, scals)
-    # blocks 0-2 are all dense rows, blocks 3 and 4 take every path
+    # the Schur views are those of the blocks of size >= 2 (blocks 0, 1, 3
+    # and 4): the first two are all dense rows, the last two take every
+    # path; the size-1 block 2 is the linear cone, active on rows 1 and 4
     blocks = rc.schur
-    assert all(b.gather is None and b.columns is None for b in blocks[:3])
-    for b in blocks[3:]:
+    assert [b.at for b in blocks] == [rc.where[j] for j in (0, 1, 3, 4)]
+    assert all(b.gather is None and b.columns is None for b in blocks[:2])
+    for b in blocks[2:]:
         assert b.gather is not None and b.columns is not None and b.chunks
+    al, ix = rc.lin
+    assert al.shape == (2, 1) and rc.classes[0][0] == 1
+    assert [list(i.ravel()) for i in ix] == [[1, 4], [1, 4]]
     act = [np.unique(rc.A[:, rc.offs[j]:rc.offs[j + 1]].tocoo().row)
-           for j in range(len(blocks))]
+           for j in range(len(prob.block_dims))]
     assert not np.array_equal(act[1], np.arange(act[1][0], act[1][-1] + 1))
     assert not np.array_equal(act[3], np.arange(act[3][0], act[3][-1] + 1))
     assert np.array_equal(act[4], np.arange(7, rc.m))
     # block 3 gathers K through slices and writes through index arrays,
     # block 4 the other way round
-    assert isinstance(blocks[3].gather[0][0], slice)
-    assert not isinstance(blocks[3].gather[3][0], slice)
-    assert not isinstance(blocks[4].gather[0][0], slice)
-    assert isinstance(blocks[4].gather[3][0], slice)
+    assert isinstance(blocks[2].gather[0][0], slice)
+    assert not isinstance(blocks[2].gather[3][0], slice)
+    assert not isinstance(blocks[3].gather[0][0], slice)
+    assert isinstance(blocks[3].gather[3][0], slice)
     one_chunk = sdp_mod._schur(rc, scals)
-    # 36 entries: blocks of size 3, 2, 1 and 16 take 4, 9, 36 and 1 rows a
-    # chunk, so block 0 has two chunks and block 3 one per dense row
+    # 36 entries: blocks of size 3, 2 and 16 take 4, 9 and 1 rows a chunk,
+    # so block 0 has two chunks and block 3 one per dense row
     monkeypatch.setattr(sdp_mod, "_SCHUR_CHUNK", 36)
     rc = prob.compile()
     rc.scale()
-    assert len(rc.schur[0].chunks) == 2 and len(rc.schur[3].chunks) == 3
+    assert len(rc.schur[0].chunks) == 2 and len(rc.schur[2].chunks) == 3
     chunked = sdp_mod._schur(rc, scals)
     for got in (one_chunk, chunked):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -511,11 +659,14 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     rc = sdp_mod._Conic(orig.dims, orig.offs, orig.c_vec.real,
                         orig.A[keep].real, orig.b[keep])
     rc.scale()
-    scals = [sdp_mod._nt_block(*(g @ g.T + 0.3 * np.eye(d)
-                                 for g in rng.normal(size=(2, d, d))))
-             for d in rc.dims]
+
+    def real_pd(d):
+        g = rng.normal(size=(d, d))
+        return g @ g.T + 0.3 * np.eye(d)
+
+    scals = _class_scals(rc, real_pd)
     assert all(sc.W.dtype == np.float64 for sc in scals)
-    assert sdp_mod._wxw(scals[1].W).shape == (136, 136)
+    assert sdp_mod._wxw(scals[1].W[0]).shape == (136, 136)
     blk = rc.schur[1]
     assert blk.gather is not None and blk.columns is not None and blk.chunks
     assert blk.columns[1].shape[1] == 136
@@ -525,14 +676,22 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert np.array_equal(got, got.T)
 
 
+def _class_scals(rc, pd):
+    """NT scalings of one stack of pd(d) pairs per size class of rc."""
+    return [sdp_mod._nt_block(*(np.stack([pd(d) for _ in idx])
+                                for _ in range(2)))
+            for d, idx in rc.classes]
+
+
 def _dense_schur(rc, scals):
-    """tr(A_i W A_k W) by dense products; row i of the compiled matrix is
-    conj(vec A_i)."""
+    """tr(A_i W A_k W) by dense products, each block's W read off the
+    size-class scalings; row i of the compiled matrix is conj(vec A_i)."""
     rows = rc.A.toarray().conj()
     want = np.zeros((rc.m, rc.m))
-    for j, sc in enumerate(scals):
-        a = rows[:, rc.offs[j]:rc.offs[j + 1]].reshape(rc.m, *sc.W.shape)
-        want += np.einsum("iab,kba->ik", a, sc.W @ a @ sc.W).real
+    for j, (c, p) in enumerate(rc.where):
+        w = scals[c].W[p]
+        a = rows[:, rc.offs[j]:rc.offs[j + 1]].reshape(rc.m, *w.shape)
+        want += np.einsum("iab,kba->ik", a, w @ a @ w).real
     return want
 
 

@@ -25,6 +25,10 @@ nothing in the package or the benchmark changes.
 pairs whose hashes differ, and totals iterations, numerical failures,
 relaxed solves and solves run in real arithmetic on both sides (records
 without the ``real`` field, from before the real path, count as complex).
+It names each pair whose relaxed flag flips, and prints the largest value
+change over pairs converged at the requested gap on both sides apart from
+the largest over pairs relaxed on either side: a kept fallback iterate can
+move by far more than a converged one, and would hide it.
 The index counts the operation's settled solves: a solve that ended in
 numerical failure is keyed "<i> failed", after the settled solve before it,
 so that when one side fails and retries, the operation's later solves still
@@ -198,7 +202,7 @@ def diff(before_path: str, after_path: str) -> int:
     same_ipm = sum(before[k]["ipm"] == after[k]["ipm"] for k in both)
     print(f"compile hashes equal: {same_compile}/{len(both)}; "
           f"IPM hashes equal: {same_ipm}/{len(both)}")
-    moved = []
+    moved = {False: [], True: []}    # value changes, by relaxed on a side
     for key in both:
         b, a = before[key], after[key]
         if b["compile"] == a["compile"] and b["ipm"] == a["ipm"]:
@@ -206,7 +210,7 @@ def diff(before_path: str, after_path: str) -> int:
         delta = abs(a["value"] - b["value"]) \
             if a["value"] is not None and b["value"] is not None else None
         if delta is not None:
-            moved.append(delta)
+            moved[b["relaxed"] or a["relaxed"]].append(delta)
         print(f"  {key[0]} #{key[1]}: m {b['m']} -> {a['m']}, "
               f"iterations {b['iterations']} -> {a['iterations']}, "
               f"{b['status']} -> {a['status']}"
@@ -216,9 +220,16 @@ def diff(before_path: str, after_path: str) -> int:
         _totals(after.values())
     print(f"iterations: {ib} -> {ia}; numerical failures: {fb} -> {fa}; "
           f"relaxed solves: {rb} -> {ra}")
+    for key in both:
+        if before[key]["relaxed"] != after[key]["relaxed"]:
+            print(f"  relaxed {'gained' if after[key]['relaxed'] else 'lost'}"
+                  f": {key[0]} #{key[1]}")
     print(f"real solves: {qb}/{len(before)} -> {qa}/{len(after)}")
-    if moved:
-        print(f"largest value change over differing solves: {max(moved):.2e}")
+    for relaxed, over in ((False, "solves converged on both sides"),
+                          (True, "relaxed solves")):
+        if moved[relaxed]:
+            print(f"largest value change over {over}: "
+                  f"{max(moved[relaxed]):.2e}")
     identical = len(before) == len(after) == len(both) \
         and same_compile == same_ipm == len(both)
     return 0 if identical else 1
