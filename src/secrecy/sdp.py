@@ -39,19 +39,18 @@ complex-typed blocks and verifies them against every original row.
 
 The Schur complement H_ik = Re tr(A_i W A_k W) is assembled per block along
 one of two paths, chosen once per solve from the compiled rows by a cost
-rule on each row's count of real Hermitian-basis coordinates, the block size
-d and the block's active rows and nonzeros (`_index_rows`; no setting).
-Index rows (a `herm_basis` unit row, or a row with fewer than d
-coordinates) read their entries off the real d^2 x d^2 matrix K of
-X -> W X W (on a real block, its d(d+1)/2-square quarter over the diagonal
-and real-part coordinates), built from the entries of W alone (the index
-formulas of Fujisawa, Kojima & Nakata, Math. Program. 79 (1997)): between
-unit rows a scaled gather of K, for other index rows a column of K times
-their coordinates.  Dense rows keep the F1 product W A_k W against every
-active row.  A column computed once is written as a column and as a row, a
-block writes through slices where its rows run, and both triangles are kept
-and averaged in place.  Everything is dense and deterministic: fixed
-starting point, fixed iteration schedule, no randomization.
+rule on the block size d and the block's active rows, unit rows and
+nonzeros (`_index_rows`; no setting).  Unit rows, whose Hermitian part is
+a multiple of one `herm_basis` element, read their entries between each
+other off the real d^2 x d^2 matrix K of X -> W X W (on a real block, its
+d(d+1)/2-square quarter over the diagonal and real-part coordinates),
+built from the entries of W alone (the index formulas of Fujisawa, Kojima
+& Nakata, Math. Program. 79 (1997)) as one scaled gather.  Every other row
+takes the F1 product W A_k W against every active row.  A column computed
+once is written as a column and as a row, a block writes through slices
+where its rows run, and both triangles are kept and averaged in place.
+Everything is dense and deterministic: fixed starting point, fixed
+iteration schedule, no randomization.
 
 Each program is solved once.  A run keeps the first iterate meeting each
 fallback gap target (1e-7, 1e-6) looser than the requested gap, with both
@@ -500,17 +499,15 @@ def _index_rows(q: np.ndarray, d: int, nnz: int) -> np.ndarray:
     """The assembly rule of one block: which active rows take the index
     formulas, from q, each row's count of Hermitian-basis coordinates, and
     nnz, the block's nonzeros.  A dense row costs its F1 product W A_k W
-    and one dot with every active row.  A unit row (q = 1) costs its
-    gathered row of K; a row with q < d coordinates costs q rows of K and
-    the same dots.  The block takes the index rows when the F1 work they
-    save pays for building K."""
-    dense_row = d ** 3 + nnz
-    unit, multi = q == 1, (q > 1) & (q < d)
-    cost = (_K_FIXED + _K_ENTRY * d ** 4 + _GATHER * len(q) * unit.sum()
-            + (q[multi] * d * d + nnz).sum())
-    if (unit | multi).sum() * dense_row <= cost:
-        return np.zeros(len(q), dtype=bool)
-    return unit | multi
+    and one dot with every active row; a unit row (q = 1) costs its
+    gathered row of K.  The block gathers its unit rows when the F1 work
+    they save pays for building K."""
+    unit = q == 1
+    n = unit.sum()
+    if n * (d ** 3 + nnz) <= (_K_FIXED + _K_ENTRY * d ** 4
+                              + _GATHER * len(q) * n):
+        unit[:] = False
+    return unit
 
 
 @dataclass
@@ -518,15 +515,13 @@ class _SchurBlock:
     """One block's share of the Schur complement (`_schur`).
 
     `gather` holds (K index, row weights, column weights, Schur index) for
-    the unit rows; `columns` holds (coordinates of the other index rows,
-    coordinates of all index rows, column index, mirror index, unit rows
-    among the index rows); `chunks` holds (stacked A_k, column index,
-    mirror index) per chunk of dense rows, `index_rows` picks the index
-    rows out of a dense column; W is scals[at[0]].W[at[1]]."""
+    the unit rows that take the index formulas; `chunks` holds (stacked
+    A_k, column index, mirror index) per chunk of the other rows, each
+    taking the F1 product, and `index_rows` picks the gathered rows out of
+    such a column; W is scals[at[0]].W[at[1]]."""
 
     acol: sp.csr_matrix
     gather: tuple | None
-    columns: tuple | None
     index_rows: object
     chunks: list
     at: tuple
@@ -542,7 +537,7 @@ def _schur_block(row, col, data, d: int, at: tuple) -> _SchurBlock:
     rows, col, data = rows[o], col[o], data[o]
     acol = _csr(data, col, rows, n, d * d)
     index = np.zeros(n, dtype=bool)
-    gather = columns = None
+    gather = None
     # real coordinates of the Hermitian part of each A_i over herm_basis
     # (the diagonal, then Re and Im of each entry above it; a real block
     # keeps the diagonal and Re, the compact K of `_wxw`), unless building
@@ -567,15 +562,9 @@ def _schur_block(row, col, data, d: int, at: tuple) -> _SchurBlock:
         index = _index_rows(q, d, len(data))
     idx, dense = np.flatnonzero(index), np.flatnonzero(~index)
     if len(idx):
-        unit, multi = idx[q[idx] == 1], idx[q[idx] > 1]
-        if len(unit):
-            p = coords.indices[coords.indptr[unit]]
-            x = coords.data[coords.indptr[unit]]
-            gather = (_ix(p, p), x[:, None], x, _ix(act[unit], act[unit]))
-        if len(multi):
-            columns = (coords[multi], coords[idx], _ix(act[idx], act[multi]),
-                       _ix(act[multi], act[unit]),
-                       _run(np.flatnonzero(q[idx] == 1)))
+        p = coords.indices[coords.indptr[idx]]
+        x = coords.data[coords.indptr[idx]]
+        gather = (_ix(p, p), x[:, None], x, _ix(act[idx], act[idx]))
     # the dense rows' stacked A_k, (n_dense * d, d), cut into chunks
     pick = np.full(n, -1)
     pick[dense] = np.arange(len(dense))
@@ -590,7 +579,7 @@ def _schur_block(row, col, data, d: int, at: tuple) -> _SchurBlock:
         chunks.append((atall if c1 - c0 == len(dense) else atall[c0 * d:c1 * d],
                        _ix(act, cols),
                        _ix(cols, act[idx]) if len(idx) else None))
-    return _SchurBlock(acol, gather, columns, _run(idx), chunks, at)
+    return _SchurBlock(acol, gather, _run(idx), chunks, at)
 
 
 def _csr(data, cols, rows, n: int, width: int) -> sp.csr_matrix:
@@ -608,18 +597,11 @@ def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
         c, p = blk.at
         w = scals[c].W[p]
         d = w.shape[0]
-        if blk.gather is not None or blk.columns is not None:
-            k = _wxw(w)
         if blk.gather is not None:
             kix, xl, xr, ix = blk.gather
-            term = k[kix] * xl
+            term = _wxw(w)[kix] * xl
             term *= xr
             big[ix] += term
-        if blk.columns is not None:
-            xm, xi, cols, mirror, unit = blk.columns
-            col = xi @ (xm @ k).T                       # X K x_k^T
-            big[cols] += col
-            big[mirror] += col[unit].T
         for ta, cols, mirror in blk.chunks:
             nc = ta.shape[0] // d
             t1 = ta @ w                                    # stacked A_k W
@@ -1184,15 +1166,6 @@ class LmiSolution:
     y: np.ndarray | None
     vars: dict[str, object]
     sdp: SdpSolution
-
-    @property
-    def infeasible(self) -> bool:
-        """No y makes all LMI blocks PSD."""
-        return self.status is SdpStatus.DUAL_INFEASIBLE
-
-    @property
-    def unbounded(self) -> bool:
-        return self.status is SdpStatus.PRIMAL_INFEASIBLE
 
 
 class LmiProgram:

@@ -11,8 +11,8 @@ TOOL = ROOT / "tools" / "fingerprint.py"
 
 
 def _rec(index, ipm="i0", iterations=10, status="Optimal", relaxed=False,
-         value=1.0, real=None):
-    rec = {"op": "op", "index": index, "m": 4, "blocks": [2], "gap": 1e-8,
+         value=1.0, real=None, m=4):
+    rec = {"op": "op", "index": index, "m": m, "blocks": [2], "gap": 1e-8,
            "relaxed": relaxed, "compile": "c0", "ipm": ipm,
            "iterations": iterations, "status": status,
            "gap_target": 1e-7 if relaxed else 1e-8, "value": value}
@@ -45,19 +45,24 @@ def test_identical_runs_exit_zero(tmp_path):
 
 
 def test_differing_runs_exit_one_with_totals(tmp_path):
-    before = [_rec(0), _rec(1, ipm="i1", iterations=12)]
-    # the first solve fails and is solved again at a relaxed gap with a
-    # moved value; the second still pairs with the second solve before
-    after = [_rec(0, ipm="f", iterations=40, status="NumericalFailure",
+    before = [_rec(0), _rec(1, ipm="i1", iterations=12),
+              _rec(2, ipm="i2", iterations=9, m=6)]
+    # the first solve returns a relaxed iterate with a moved value, the
+    # second fails against its own program, and the third, on a program of
+    # another size, still pairs with the third solve before
+    after = [_rec(0, ipm="r", iterations=15, relaxed=True, value=1.0025),
+             _rec(1, ipm="f", iterations=40, status="NumericalFailure",
                   value=None),
-             _rec(0, ipm="r", iterations=15, relaxed=True, value=1.0025),
-             _rec(1, ipm="i1", iterations=12)]
+             _rec(2, ipm="i2", iterations=9, m=6)]
     code, out = _diff(tmp_path, before, after)
     assert code == 1, out
-    assert "solves: 2 before, 3 after, 2 paired" in out
-    assert "only after:  op #0 failed" in out
-    assert "IPM hashes equal: 1/2" in out
-    assert "iterations: 22 -> 67; numerical failures: 0 -> 1; " \
+    assert "solves: 3 before, 3 after, 3 paired" in out
+    assert "only " not in out
+    assert "IPM hashes equal: 1/3" in out
+    assert "  op #1: m 4 -> 4, iterations 12 -> 40, " \
+           "Optimal -> NumericalFailure, same program\n" in out
+    assert "op #2" not in out
+    assert "iterations: 31 -> 64; numerical failures: 0 -> 1; " \
            "relaxed solves: 0 -> 1" in out
     assert "  relaxed gained: op #0\n" in out
     assert "largest value change over relaxed solves: 2.50e-03" in out

@@ -496,7 +496,8 @@ def _real_program_with_imaginary_rows(rng):
     x0, s0 = [pd(d) for d in dims], [pd(d) for d in dims]
     rows = [{j: sym(d) for j, d in enumerate(dims)} for _ in range(5)]
     rhs = [sum(np.trace(a[j] @ x0[j]) for j in a) for a in rows]
-    c = [s0[j] + sum(y * a[j] for y, a in zip(rng.normal(size=5), rows))
+    y0 = rng.normal(size=5)
+    c = [s0[j] + sum(y * a[j] for y, a in zip(y0, rows))
          for j in range(len(dims))]
     flip = np.array([[0, 1j], [-1j, 0]])
     rows += [{0: b} for b in herm_basis(3)[4::2]] \
@@ -608,9 +609,10 @@ def _schur_program(rng):
 
 def test_schur_matches_dense_trace_formula(monkeypatch):
     """Schur complement tr(A_i W A_k W) against dense products of the
-    compiled rows, for every assembly path: dense rows (F1) in one chunk
-    and in chunks of a few rows, gathered unit rows, K columns of rows with
-    two coordinates, through slices and through index arrays."""
+    compiled rows, for both assembly paths: dense rows (F1) in one chunk
+    and in chunks of a few rows, and gathered unit rows, through slices and
+    through index arrays.  Only unit rows are index rows; rows with two
+    coordinates take the F1 product."""
     rng = np.random.default_rng(17)
     prob = _schur_program(rng)
     rc = prob.compile()
@@ -618,13 +620,13 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     scals = _class_scals(rc, lambda d: rand_pd(d, rng))
     want = _dense_schur(rc, scals)
     # the Schur views are those of the blocks of size >= 2 (blocks 0, 1, 3
-    # and 4): the first two are all dense rows, the last two take every
-    # path; the size-1 block 2 is the linear cone, active on rows 1 and 4
+    # and 4): the first two are all dense rows, the last two take both
+    # paths; the size-1 block 2 is the linear cone, active on rows 1 and 4
     blocks = rc.schur
     assert [b.at for b in blocks] == [rc.where[j] for j in (0, 1, 3, 4)]
-    assert all(b.gather is None and b.columns is None for b in blocks[:2])
+    assert all(b.gather is None for b in blocks[:2])
     for b in blocks[2:]:
-        assert b.gather is not None and b.columns is not None and b.chunks
+        assert b.gather is not None and b.chunks
     al, ix = rc.lin
     assert al.shape == (2, 1) and rc.classes[0][0] == 1
     assert [list(i.ravel()) for i in ix] == [[1, 4], [1, 4]]
@@ -633,6 +635,9 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert not np.array_equal(act[1], np.arange(act[1][0], act[1][-1] + 1))
     assert not np.array_equal(act[3], np.arange(act[3][0], act[3][-1] + 1))
     assert np.array_equal(act[4], np.arange(7, rc.m))
+    # block 3 has its two-diagonal row, block 4 that and its pair row
+    _assert_unit_index_rows(rc, blocks[2], 3, act[3], 1)
+    _assert_unit_index_rows(rc, blocks[3], 4, act[4], 2)
     # block 3 gathers K through slices and writes through index arrays,
     # block 4 the other way round
     assert isinstance(blocks[2].gather[0][0], slice)
@@ -641,11 +646,12 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert isinstance(blocks[3].gather[3][0], slice)
     one_chunk = sdp_mod._schur(rc, scals)
     # 36 entries: blocks of size 3, 2 and 16 take 4, 9 and 1 rows a chunk,
-    # so block 0 has two chunks and block 3 one per dense row
+    # so block 0 has two chunks and block 3 one per F1 row: its three dense
+    # rows and its two-diagonal row
     monkeypatch.setattr(sdp_mod, "_SCHUR_CHUNK", 36)
     rc = prob.compile()
     rc.scale()
-    assert len(rc.schur[0].chunks) == 2 and len(rc.schur[2].chunks) == 3
+    assert len(rc.schur[0].chunks) == 2 and len(rc.schur[2].chunks) == 4
     chunked = sdp_mod._schur(rc, scals)
     for got in (one_chunk, chunked):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -668,12 +674,30 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert all(sc.W.dtype == np.float64 for sc in scals)
     assert sdp_mod._wxw(scals[1].W[0]).shape == (136, 136)
     blk = rc.schur[1]
-    assert blk.gather is not None and blk.columns is not None and blk.chunks
-    assert blk.columns[1].shape[1] == 136
+    assert blk.gather is not None and blk.chunks
+    act = np.unique(rc.A[:, rc.offs[1]:rc.offs[2]].tocoo().row)
+    _assert_unit_index_rows(rc, blk, 1, act, 2)
     got = sdp_mod._schur(rc, scals)
     want = _dense_schur(rc, scals)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(got, got.T)
+
+
+def _assert_unit_index_rows(rc, blk, j, act, n_two):
+    """Every index row of block j (active rows act) is a unit row, with one
+    real coordinate over herm_basis, and none of its n_two rows with two
+    coordinates is an index row."""
+    d = rc.dims[j]
+    a = rc.A[act, rc.offs[j]:rc.offs[j + 1]].toarray().reshape(-1, d, d)
+    i, k = np.triu_indices(d, 1)
+    up = a[:, i, k]
+    q = (np.count_nonzero(np.diagonal(a, axis1=1, axis2=2), axis=1)
+         + np.count_nonzero(up.real, axis=1)
+         + np.count_nonzero(up.imag, axis=1))
+    index = np.zeros(len(act), dtype=bool)
+    index[blk.index_rows] = True
+    assert index.any() and np.all(q[index] == 1)
+    assert np.sum(q == 2) == n_two and not index[q == 2].any()
 
 
 def _class_scals(rc, pd):

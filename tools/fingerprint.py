@@ -14,9 +14,7 @@ whether the interior-point method ran in real arithmetic and on how many
 rows, the requested gap, the gap target the returned iterate met, whether
 the solve was relaxed and the dual value.  A solve counts as relaxed when it
 met a gap target larger than the one requested (a stalled run that returned
-a fallback iterate), or when it re-solves a program of the same operation
-at a larger requested gap (the retry of a checkout that solves a stalled
-program again).
+a fallback iterate).
 ``sdp.solve``, ``SdpProblem.compile`` and ``sdp._ipm`` are wrapped from
 outside the package, the way ``benchmarks/tracing.py`` wraps its layers;
 nothing in the package or the benchmark changes.
@@ -29,11 +27,10 @@ It names each pair whose relaxed flag flips, and prints the largest value
 change over pairs converged at the requested gap on both sides apart from
 the largest over pairs relaxed on either side: a kept fallback iterate can
 move by far more than a converged one, and would hide it.
-The index counts the operation's settled solves: a solve that ended in
-numerical failure is keyed "<i> failed", after the settled solve before it,
-so that when one side fails and retries, the operation's later solves still
-pair with the same programs.  Equal hashes mean bit-identical programs and
-solver runs; the exit status is 0 then and 1 otherwise.
+The index counts every solve of the operation, failed ones too, so a solve
+that fails on one side pairs with its own program on the other.  Equal
+hashes mean bit-identical programs and solver runs; the exit status is 0
+then and 1 otherwise.
 """
 
 import os
@@ -74,12 +71,11 @@ class Recorder:
         self.records: list[dict] = []
         self.op = None
         self._index = 0
-        self._seen: dict[int, tuple[object, float]] = {}
         self._current: dict | None = None
         self._patches: list[tuple[object, str, object]] = []
 
     def begin_op(self, name: str) -> None:
-        self.op, self._index, self._seen = name, 0, {}
+        self.op, self._index = name, 0
 
     def install(self, modules) -> None:
         sdp, solve, ipm = self.sdp, self.sdp.solve, self.sdp._ipm
@@ -87,13 +83,10 @@ class Recorder:
 
         def wrapped_solve(problem, tolerances=None):
             gap = (tolerances or sdp.SdpTolerances()).gap
-            earlier = self._seen.get(id(problem))
             rec = {"op": self.op, "index": self._index,
                    "m": problem.num_constraints,
-                   "blocks": list(problem.block_dims), "gap": gap,
-                   "relaxed": earlier is not None and gap > earlier[1]}
+                   "blocks": list(problem.block_dims), "gap": gap}
             self._index += 1
-            self._seen[id(problem)] = (problem, gap)
             self._current = rec
             try:
                 sol = solve(problem, tolerances)
@@ -101,7 +94,7 @@ class Recorder:
                 self._current = None
             met = getattr(sol, "gap_target", None)
             rec["gap_target"] = met
-            rec["relaxed"] |= met is not None and met > gap
+            rec["relaxed"] = met is not None and met > gap
             rec["value"] = sol.dual_value
             self.records.append(rec)
             return sol
@@ -165,18 +158,10 @@ def record(workload: str, seed: int) -> list[dict]:
     return recorder.records
 
 
-def _load(path: str) -> dict[tuple[str, object], dict]:
+def _load(path: str) -> dict[tuple[str, int], dict]:
     with open(path, encoding="ascii") as fh:
         recs = [json.loads(line) for line in fh if line.strip()]
-    out, settled = {}, {}
-    for r in recs:
-        i = settled.get(r["op"], 0)
-        if r["status"] == "NumericalFailure":
-            out[(r["op"], f"{i} failed")] = r
-        else:
-            out[(r["op"], i)] = r
-            settled[r["op"]] = i + 1
-    return out
+    return {(r["op"], r["index"]): r for r in recs}
 
 
 def _totals(recs) -> tuple[int, int, int, int]:
