@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import CqqWiretapChannel
 from .entropy import _RANK_CUTOFF, _support_factors, _trace_row
-from .quantum import DensityOperator, ValidationError, fidelity
+from .quantum import DensityOperator, ValidationError, fidelity, tensor
 from .sdp import (LmiBuilder, SdpError, SdpProblem, SdpStatus,
                   herm_equality_rows, solve)
 
@@ -203,10 +203,8 @@ def _grouped_kron(mats, dx: int, dy: int) -> DensityOperator:
     """Kronecker product of per-letter matrices on X (x) Y, regrouped from
     X_1 Y_1 ... X_n Y_n into the two factors (X^n, Y^n)."""
     n = len(mats)
-    mat = None
-    for s in mats:
-        mat = s if mat is None else np.kron(mat, s)
-    grouped = DensityOperator(mat, (dx, dy) * n, validate=False).permute(
+    grouped = DensityOperator(tensor(*mats), (dx, dy) * n,
+                              validate=False).permute(
         [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)])
     return DensityOperator(grouped.mat, (dx ** n, dy ** n), validate=False)
 

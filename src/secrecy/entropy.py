@@ -60,6 +60,7 @@ then implies T_lam >= 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -394,6 +395,13 @@ def _support_floor(marginal: DensityOperator) -> float:
     return -math.log2(float(support.min()))
 
 
+def _check_block_length(n: int) -> None:
+    """A block length is a positive integer; numpy integers count."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValidationError(
+            f"block length n must be a positive integer, got {n!r}")
+
+
 def aep_bounds(state: DensityOperator, a_sys: Sequence[int],
                b_sys: Sequence[int], n: int, eps: float) -> tuple[float, float]:
     """Finite-n bounds on the smoothed entropies of the n-fold product.
@@ -406,8 +414,7 @@ def aep_bounds(state: DensityOperator, a_sys: Sequence[int],
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError("aep_bounds needs eps strictly inside (0, 1)")
-    if n < 1:
-        raise ValidationError("block length n must be a positive integer")
+    _check_block_length(n)
     query = EntropyQuery(state, tuple(a_sys), tuple(b_sys))
     rho, da, db = query.reduced()
     rho_do = DensityOperator(rho, (da, db), validate=False)

@@ -89,7 +89,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
 
 
@@ -637,12 +637,10 @@ def _w_apply(rc: _Conic, scals: list[_Scal], v: np.ndarray) -> np.ndarray:
 def _make_solver(big: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     tr = float(np.trace(big)) / max(1, big.shape[0])
     for jitter in (0.0, 1e-13 * tr, 1e-10 * tr, 1e-7 * tr):
-        try:
-            shifted = big + jitter * np.eye(big.shape[0]) if jitter else big
-            cho = sla.cho_factor(shifted, lower=True, check_finite=False)
-            return lambda r: sla.cho_solve(cho, r, check_finite=False)
-        except np.linalg.LinAlgError:
-            continue
+        shifted = big + jitter * np.eye(big.shape[0]) if jitter else big
+        chol, info = lapack.dpotrf(shifted, lower=1, clean=0)
+        if info == 0:
+            return lambda r: lapack.dpotrs(chol, r, lower=1)[0]
     vals, vecs = np.linalg.eigh(big)
     inv = np.where(vals > 1e-14 * max(vals[-1], 1e-300), 1.0 / vals, 0.0)
     return lambda r: vecs @ (inv * (vecs.T @ r))

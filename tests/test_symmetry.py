@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from secrecy import sdp
-from secrecy.quantum import DensityOperator, ValidationError, random_density
+from secrecy.quantum import (DensityOperator, ValidationError, random_density,
+                             tensor)
 from secrecy.sdp import SdpStatus
-from secrecy.entropy import (EntropyQuery, _smooth_program, aep_bounds, h_min,
-                             h_min_smooth, h_max_smooth)
+from secrecy.entropy import (EntropyQuery, _smooth_program, aep_bounds, h_max,
+                             h_min, h_min_smooth, h_max_smooth)
 from secrecy.symmetry import (SymmetricBlocks, _conditioner_maps,
-                              _perm_unitary, _power_matrix,
-                              h_max_smooth_power, h_min_smooth_power)
+                              _perm_unitary, h_max_smooth_power,
+                              h_min_smooth_power)
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +31,16 @@ def _random_invariant(d, n, rng):
 
 class TestBlockStructure:
     def test_multiplicity_tables(self):
+        # irreps are named by partition; shapes with more than d rows
+        # have no weight on (C^d)^(x)n and are not stored
         tables = {
-            (2, 2): {"sym": 3, "anti": 1},
-            (3, 2): {"sym": 6, "anti": 3},
-            (2, 3): {"sym": 4, "mixed": 2},
-            (4, 3): {"sym": 20, "anti": 4, "mixed": 20},
+            (2, 2): {(2,): 3, (1, 1): 1},
+            (3, 2): {(2,): 6, (1, 1): 3},
+            (2, 3): {(3,): 4, (2, 1): 2},
+            (4, 3): {(3,): 20, (2, 1): 20, (1, 1, 1): 4},
+            (2, 4): {(4,): 5, (3, 1): 3, (2, 2): 1},
+            (4, 4): {(4,): 35, (3, 1): 45, (2, 2): 20, (2, 1, 1): 15,
+                     (1, 1, 1, 1): 1},
         }
         for (d, n), want in tables.items():
             got = {ir["name"]: ir["mult"] for ir in SymmetricBlocks(d, n).irreps}
@@ -51,7 +57,7 @@ class TestBlockStructure:
                 _perm_unitary(2, 3, pq))
 
     def test_reconstruction_maps_are_isometries(self):
-        for d, n in [(2, 3), (4, 3), (2, 2)]:
+        for d, n in [(2, 3), (4, 3), (2, 2), (2, 4), (4, 4)]:
             sb = SymmetricBlocks(d, n)
             for ir in sb.irreps:
                 for c in ir["isoms"]:
@@ -59,7 +65,7 @@ class TestBlockStructure:
                                        atol=1e-10)
 
     def test_invariant_roundtrip_and_trace_weights(self, rng):
-        for d, n in [(2, 3), (4, 3)]:
+        for d, n in [(2, 3), (4, 3), (2, 4), (4, 4)]:
             sb = SymmetricBlocks(d, n)
             inv = _random_invariant(d, n, rng)
             blocks = sb.compress(inv)
@@ -126,14 +132,15 @@ class TestProgramEquivalence:
                 assert sym == pytest.approx(generic, abs=1e-6)
 
     def test_block_order_follows_the_generic_layout(self):
-        # rank 2 at n = 3: the sym (20) and mixed (20) irreps carry weight
-        # on rank-4 and rank-2 supports, the antisymmetric one (4) none
+        # rank 2 at n = 3: the (3) and (2, 1) irreps (20 each) carry weight
+        # on rank-4 and rank-2 supports, the antisymmetric (1, 1, 1) one (4)
+        # none
         rho = random_density((2, 2), np.random.default_rng(15), rank=2)
         sab, sb = SymmetricBlocks(4, 3), SymmetricBlocks(2, 3)
-        program = _smooth_program(sab.compress(_power_matrix(rho.mat, 3)),
+        program = _smooth_program(sab.compress(tensor(*[rho.mat] * 3)),
                                   _conditioner_maps(sab, sb, 2, 2, 3),
                                   sb.weights, sab.weights, 0.25)
-        assert program.problem.block_dims == [20, 8, 20, 4, 20, 4, 20, 1, 1]
+        assert program.problem.block_dims == [20, 8, 20, 20, 4, 20, 4, 1, 1]
 
     def test_zero_weight_irrep_solves_without_retry(self, monkeypatch):
         # rank 2 at n = 3: no weight on the antisymmetric irrep; with its
@@ -171,11 +178,43 @@ class TestProgramEquivalence:
         assert h_max_smooth_power(rho, 3, 0.3) <= hi + 1e-6
 
 
+class TestFourCopies:
+    def test_exact_entropies_are_additive(self):
+        rho = random_density((2, 2), np.random.default_rng(21), rank=2)
+        query = EntropyQuery(rho, (0,), (1,))
+        assert h_min_smooth_power(rho, 4, 0.0) \
+            == pytest.approx(4 * h_min(query), abs=1e-6)
+        assert h_max_smooth_power(rho, 4, 0.0) \
+            == pytest.approx(4 * h_max(query), abs=1e-6)
+
+    def test_smoothed_min_entropy_sits_above_the_product_estimates(self):
+        # m = 3,755 on the (4, 4) blocks: the largest program of the suite's
+        # symmetric checks; the smoothed H_max is left out for time
+        rho = random_density((2, 2), np.random.default_rng(21), rank=2)
+        lo, _ = aep_bounds(rho, [0], [1], 4, 0.3)
+        value = h_min_smooth_power(rho, 4, 0.3)
+        assert value >= 4 * h_min(EntropyQuery(rho, (0,), (1,))) - 1e-6
+        assert value >= lo - 1e-6
+
+
 class TestValidation:
     def test_rejects_unsupported_block_lengths(self, rng):
         rho = random_density((2, 2), rng)
-        with pytest.raises(ValidationError):
-            h_min_smooth_power(rho, 4, 0.3)
+        for power in (h_min_smooth_power, h_max_smooth_power):
+            with pytest.raises(ValidationError):
+                power(rho, 5, 0.3)
+
+    @pytest.mark.parametrize("call", [
+        lambda rho, n: h_min_smooth_power(rho, n, 0.3),
+        lambda rho, n: h_max_smooth_power(rho, n, 0.3),
+        lambda rho, n: aep_bounds(rho, [0], [1], n, 0.3),
+    ], ids=["h_min_smooth_power", "h_max_smooth_power", "aep_bounds"])
+    def test_rejects_non_integer_block_lengths(self, call, rng):
+        rho = random_density((2, 2), rng)
+        for n in (2.5, 2.0):
+            with pytest.raises(ValidationError):
+                call(rho, n)
+        call(rho, np.int64(1))
 
     def test_rejects_non_bipartite_state(self, rng):
         rho = random_density((2, 2, 2), rng)
