@@ -330,9 +330,15 @@ class CodePerformance:
 
 
 def _transmission_error(p: np.ndarray) -> float:
+    """eps* = sqrt(1 - F^2), F = (1/M) sum_u sqrt(hit_u), from the miss
+    probabilities without cancellation: 1 - F = (1/M) sum_u miss_u /
+    (1 + sqrt(hit_u)) and 1 - F^2 = (1 - F)(1 + F).  A receiver state whose
+    trace rounds below 1 leaves eps* = 0 where no message is missed."""
     m = p.shape[0]
-    f = sum(math.sqrt(p[u, u] / m) for u in range(m))
-    return math.sqrt(max(0.0, 1.0 - min(1.0, f) ** 2))
+    hit = m * np.diag(p)
+    miss = m * np.where(np.eye(m, dtype=bool), 0.0, p).sum(axis=1)
+    one_minus_f = float(np.sum(miss / (1.0 + np.sqrt(hit)))) / m
+    return math.sqrt(max(0.0, one_minus_f * (2.0 - one_minus_f)))
 
 
 def _identical_leakage(eve_states: list[np.ndarray]) -> bool:

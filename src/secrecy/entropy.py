@@ -6,9 +6,7 @@ All logarithms are base 2.  For a (possibly subnormalized) state rho on A x B:
                  H_min(A|B) = -log2 min{ tr(sigma) : 1_A (x) sigma >= rho_AB }.
 * ``h_max``   -- conditional max-entropy, via the purification identity
                  H_max(A|B)_rho = -H_min(A|C)_psi for any purification psi on
-                 A x B x C.  A direct formulation
-                 H_max(A|B) = max_sigma 2 log2 F(rho_AB, 1_A (x) sigma)
-                 is kept alongside as an independent cross-check path.
+                 A x B x C.
 * ``h_min_smooth`` / ``h_max_smooth`` -- smoothed variants, where the
   optimization runs over all subnormalized states rho' within purified
   distance eps of rho (equivalently, generalized fidelity >= sqrt(1-eps^2)).
@@ -312,34 +310,6 @@ def _hmin_generic(rho: np.ndarray, da: int, db: int, eps: float) -> float:
 # Entropies
 # ---------------------------------------------------------------------------
 
-def _hmax_direct(rho: np.ndarray, da: int, db: int):
-    """max 2 log2 F(rho, 1 (x) sigma) over tr sigma <= 1, on rho's support."""
-    big, vee = _support_factors([rho])[0]
-    r = big.shape[0]
-    bld = LmiBuilder()
-    x = bld.cplx_var("x", r, r)
-    sig = bld.herm_var("sigma", db)
-    blk = bld.new_block(2 * r)
-    bld.add_const(blk, big)
-    bld.add_cplx(blk, x, at=(0, r))
-    bld.add_param_term(blk, sig.params,
-                       vee.conj().T @ (_lifted_basis(da, db) @ vee), at=(r, r))
-    # The compressed corner sees only V^dag (1 (x) sigma) V, so positivity
-    # of sigma itself is a separate requirement (without it, signed parts
-    # invisible to the compression could cheat the trace cap).
-    spos = bld.new_block(db)
-    bld.add_herm(spos, sig)
-    cap = bld.new_block(1)
-    bld.add_const(cap, np.array([[1.0]]))
-    bld.add_param_term(cap, *_trace_row(sig, -1.0))
-    bld.minimize([(p, -w) for p, w in x.trace_real_coeffs()])
-    sol = _solved(bld.build())
-    froot = -sol.value
-    if froot <= 0:
-        raise SdpError("nonpositive fidelity optimum in max-entropy SDP")
-    return 2.0 * math.log2(froot), sol
-
-
 def h_min(query: EntropyQuery) -> float:
     """Conditional min-entropy H_min(A|B) of the queried split."""
     _require_exact(query, "h_min")
@@ -347,22 +317,11 @@ def h_min(query: EntropyQuery) -> float:
     return _hmin_generic(rho, da, db, 0.0)
 
 
-def h_max(query: EntropyQuery, cross_check: bool = False) -> float:
-    """Conditional max-entropy H_max(A|B), computed through a purification.
-
-    With ``cross_check=True`` the independent direct fidelity program is run
-    as well and the two values are required to agree to 1e-5.
-    """
+def h_max(query: EntropyQuery) -> float:
+    """Conditional max-entropy H_max(A|B), computed through a purification."""
     _require_exact(query, "h_max")
     rho, da, db = query.reduced()
-    value = _hmax_by_duality(rho, da, db, 0.0)
-    if cross_check:
-        direct, _ = _hmax_direct(rho, da, db)
-        if abs(direct - value) > 1e-5:
-            raise SdpError(
-                f"max-entropy paths disagree: duality {value:.8f} vs "
-                f"direct {direct:.8f}")
-    return value
+    return _hmax_by_duality(rho, da, db, 0.0)
 
 
 def _hmax_by_duality(rho: np.ndarray, da: int, db: int, eps: float) -> float:

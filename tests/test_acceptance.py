@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import positive_part_trace, rand_herm, strictly_feasible_sdp
+from oracles import (hmax_cross_checked, positive_part_trace, rand_herm,
+                     strictly_feasible_sdp)
 from secrecy.capacity import (bsc_wiretap_capacity_formula,
                               p1_general_lower_bound,
                               private_capacity_degraded,
@@ -27,7 +28,7 @@ from secrecy.codes import (SearchConfig, WiretapCode, brute_force_M,
 from secrecy.converse import (OutsideConverseRegion, audit_privacy_bound_chain,
                               classify_region, finite_n_converse,
                               trivial_converse_bound)
-from secrecy.entropy import EntropyQuery, aep_bounds, h_max, h_min_smooth
+from secrecy.entropy import EntropyQuery, aep_bounds, h_min_smooth
 from secrecy.lemmas import RULES, run_harness
 from secrecy.quantum import (DensityOperator, QuantumChannel,
                              conditional_entropy, maximally_entangled,
@@ -49,9 +50,9 @@ def test_criterion_01_entropy_engine_exactness():
         == pytest.approx(1.0, abs=1e-6)
     for i in range(50):
         rho = random_density((2, 2), rng, rank=int(rng.integers(1, 5)))
-        # cross_check raises if the purification-duality value and the
-        # direct fidelity program differ by more than 1e-5
-        h_max(EntropyQuery(rho, (0,), (1,), 0.0), cross_check=True)
+        # the purification-duality value and the direct fidelity program
+        # must agree to 1e-5
+        hmax_cross_checked(EntropyQuery(rho, (0,), (1,), 0.0))
     print("criterion 1: H_min exact at -1/+1; 50/50 dual-path agreements")
 
 

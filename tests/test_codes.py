@@ -421,6 +421,34 @@ class TestSearchScreens:
             <= 2 / 3 + 1e-12
 
 
+class TestTransmissionErrorAtZero:
+    """The receiver state of the random channel has trace 1 - 2e-16; eps*
+    comes from the miss probabilities, so that rounding does not become a
+    1.5e-8 error that the search rejects at eps = 0."""
+
+    @pytest.mark.parametrize("mode", ["optimized", "fixed"])
+    def test_search_admits_one_message_at_eps_zero(self, mode):
+        ch = _screen_channels()["random"]
+        m, wit = brute_force_M(ch, 1, 0.0, 0.9,
+                               SearchConfig(privacy_mode=mode))
+        assert m == 1 and wit.m == 1
+        assert evaluate_code(wit, ch, mode).eps_star == 0.0
+
+    @pytest.mark.parametrize("name", sorted(_screen_channels()))
+    def test_every_one_message_code_has_eps_star_zero(self, name):
+        # oracle: a single message is always decoded, so F = 1 and eps* = 0
+        # in exact arithmetic, for every encoder and block length
+        ch = _screen_channels()[name]
+        rng = np.random.default_rng(20261021)
+        for n in (1, 2):
+            k = ch.size ** n
+            for enc in [*np.eye(k)[:, None, :],
+                        *rng.dirichlet(np.ones(k), size=(2, 1))]:
+                perf = evaluate_code(WiretapCode(1, n, ch.size, enc), ch,
+                                     "fixed")
+                assert perf.eps_star == 0.0
+
+
 def _reference_candidates(k, m, cfg):
     """The search's candidate order: codeword multisets, then grid rows."""
     for words in itertools.combinations_with_replacement(range(k), m):

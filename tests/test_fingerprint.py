@@ -11,13 +11,15 @@ TOOL = ROOT / "tools" / "fingerprint.py"
 
 
 def _rec(index, ipm="i0", iterations=10, status="Optimal", relaxed=False,
-         value=1.0, real=None, m=4):
+         value=1.0, real=None, m=4, layout=None):
     rec = {"op": "op", "index": index, "m": m, "blocks": [2], "gap": 1e-8,
            "relaxed": relaxed, "compile": "c0", "ipm": ipm,
            "iterations": iterations, "status": status,
            "gap_target": 1e-7 if relaxed else 1e-8, "value": value}
     if real is not None:
         rec.update(real=real, rows=3 if real else 4)
+    if layout is not None:
+        rec.update(layout=layout)
     return rec
 
 
@@ -41,6 +43,7 @@ def test_identical_runs_exit_zero(tmp_path):
     assert "iterations: 22 -> 22; numerical failures: 0 -> 0; " \
            "relaxed solves: 1 -> 1" in out
     assert "real solves: 0/2 -> 0/2" in out
+    assert "blocked solves: 0/2 -> 0/2" in out
     assert "largest value change" not in out
 
 
@@ -98,10 +101,24 @@ def test_real_solves_counted_without_the_fields_before(tmp_path):
     assert "real solves: 1/2 -> 1/2" in out
 
 
+def test_blocked_solves_counted_without_the_field_before(tmp_path):
+    # records from before the block-arrow path carry no "layout" field
+    before = [_rec(0), _rec(1)]
+    after = [_rec(0, layout="dense"),
+             _rec(1, ipm="b", layout={"groups": [2, 2], "border": 1})]
+    code, out = _diff(tmp_path, before, after)
+    assert code == 1, out
+    assert "blocked solves: 0/2 -> 1/2" in out
+    code, out = _diff(tmp_path, after, after)
+    assert code == 0, out
+    assert "blocked solves: 1/2 -> 1/2" in out
+
+
 def test_recorder_reads_real_arithmetic_and_rows():
-    """The recorder notes whether the interior-point method ran real and on
-    how many rows: a real program with one imaginary row runs on the other
-    two, its complex twin on all three."""
+    """The recorder notes whether the interior-point method ran real, on
+    how many rows and in which Schur layout: a real program with one
+    imaginary row runs on the other two, its complex twin on all three,
+    both dense, and a program of two decoupled blocks factors by groups."""
     script = """
 import json
 import numpy as np
@@ -116,8 +133,18 @@ for c in (np.diag([1.0, 2.0]), np.array([[1.0, 1j], [-1j, 2.0]])):
     prob.add_constraint({0: np.diag([1.0, 0.0])}, 0.25)
     prob.add_constraint({0: sdp.herm_basis(2)[3]}, 0.0)
     sdp.solve(prob)
+# two blocks with two rows each, and a row on both and a 1x1 block: with
+# no call cost the Schur matrix is factored as two groups and a border
+sdp._ARROW_CALL = 0.0
+prob = sdp.SdpProblem([2, 2, 1])
+for j in (0, 1):
+    prob.add_constraint({j: np.eye(2)}, 1.0)
+    prob.add_constraint({j: np.diag([1.0, 0.0])}, 0.25)
+prob.add_constraint({0: np.eye(2), 1: np.eye(2), 2: np.eye(1)}, 3.0)
+sdp.solve(prob)
 rec.uninstall()
-print(json.dumps([(r["real"], r["rows"], r["m"]) for r in rec.records]))
+print(json.dumps([(r["real"], r["rows"], r["m"], r["layout"])
+                  for r in rec.records]))
 """
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
@@ -125,4 +152,6 @@ print(json.dumps([(r["real"], r["rows"], r["m"]) for r in rec.records]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[True, 2, 3], [False, 3, 3]]
+    assert json.loads(proc.stdout) == [
+        [True, 2, 3, "dense"], [False, 3, 3, "dense"],
+        [True, 5, 5, {"groups": [2, 2], "border": 1}]]

@@ -1,5 +1,7 @@
 """Solver unit tests: closed-form values, duality, certificates, rejection."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -7,6 +9,9 @@ from scipy.optimize import linprog
 from oracles import (positive_part_trace, rand_herm, rand_pd,
                      strictly_feasible_sdp)
 from secrecy import sdp as sdp_mod
+from secrecy.entropy import _lifted_basis, _smooth_program
+from secrecy.quantum import random_density, tensor
+from secrecy.symmetry import SymmetricBlocks, _conditioner_maps
 from secrecy.sdp import (
     LmiBuilder, SdpError, SdpProblem, SdpStatus, SdpTolerances,
     check_feasibility, herm_basis, solve,
@@ -617,6 +622,7 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     prob = _schur_program(rng)
     rc = prob.compile()
     rc.scale()
+    assert rc.arrow is None     # the dense layout averages both triangles
     scals = _class_scals(rc, lambda d: rand_pd(d, rng))
     want = _dense_schur(rc, scals)
     # the Schur views are those of the blocks of size >= 2 (blocks 0, 1, 3
@@ -748,3 +754,107 @@ def _real_schur_program(rng):
             row[0] = sym(2)
         prob.add_constraint(row, float(rng.normal()))
     return prob
+
+
+def _tensor_power_program():
+    """The smoothed H_min program of rho^(x)3 at eps = 0.25 in S_3 blocks,
+    on a seeded rank-2 two-qubit state: m = 860."""
+    rho = random_density((2, 2), np.random.default_rng(15), rank=2)
+    sab, sb = SymmetricBlocks(4, 3), SymmetricBlocks(2, 3)
+    return _smooth_program(sab.compress(tensor(*[rho.mat] * 3)),
+                           _conditioner_maps(sab, sb, 2, 2, 3),
+                           sb.weights, sab.weights, 0.25).problem
+
+
+def _groups(rc):
+    """`sdp._row_groups` on the stored entries of a scaled program."""
+    dims = np.asarray(rc.dims)
+    row = np.repeat(np.arange(rc.m), np.diff(rc.A.indptr))
+    blk = np.repeat(np.arange(len(dims)), dims * dims)[rc.A.indices]
+    return sdp_mod._row_groups(row, blk, dims, rc.m)
+
+
+def test_row_groups_of_symmetric_and_generic_programs():
+    """The n = 3 program splits into two irrep groups of 408 and 386 rows
+    and a border of 66: the 20 conditioner rows, which touch the [dom]
+    block of every irrep, and the rows that touch the 1x1 [cap] and [req]
+    blocks; a generic smoothing program of about the same size is one
+    group, and stays dense."""
+    rc = _tensor_power_program().compile()
+    rc.scale()
+    groups = _groups(rc)
+    assert sorted(np.bincount(groups[groups >= 0])) == [386, 408]
+    assert np.sum(groups < 0) == 66 and np.all(groups[:20] < 0)
+    assert [len(g) for g in rc.arrow.groups] \
+        == np.bincount(groups[groups >= 0]).tolist()
+    assert np.array_equal(rc.arrow.border, np.flatnonzero(groups < 0))
+    rho = random_density((2, 8), np.random.default_rng(5))
+    rc = _smooth_program([rho.mat], [[_lifted_basis(2, 8)]], [1], [1],
+                         0.25).problem.compile()
+    rc.scale()
+    groups = _groups(rc)
+    touches_1x1 = np.zeros(rc.m, dtype=bool)
+    for j in np.flatnonzero(np.asarray(rc.dims) == 1):
+        col = rc.offs[j]
+        touches_1x1[rc.A[:, col].nonzero()[0]] = True
+    assert set(groups[~touches_1x1]) == {0}
+    assert np.all(groups[touches_1x1] < 0) and touches_1x1.any()
+    assert rc.m == 832 and rc.arrow is None
+
+
+def test_arrow_solve_matches_dense(monkeypatch):
+    """On a Schur matrix of the n = 3 program, exactly zero between its
+    groups, the block-arrow solve agrees with the dense Cholesky to 1e-10
+    relative, and whole solves through either path agree."""
+    rng = np.random.default_rng(29)
+    prob = _tensor_power_program()
+    rc = prob.compile()
+    rc.scale()
+    big = sdp_mod._schur(rc, _class_scals(rc, lambda d: rand_pd(d, rng)))
+    g0, g1 = rc.arrow.groups
+    assert not big[np.ix_(g0, g1)].any() and not big[np.ix_(g1, g0)].any()
+    dense = big.copy()
+    sdp_mod._symmetrize(dense)
+    blocked, full = sdp_mod._make_solver(big, rc.arrow), \
+        sdp_mod._make_solver(dense)
+    for r in rng.normal(size=(3, rc.m)):
+        want = full(r)
+        assert np.linalg.norm(blocked(r) - want) \
+            <= 1e-10 * np.linalg.norm(want)
+    calls, arrow_solver = [], sdp_mod._arrow_solver
+    monkeypatch.setattr(sdp_mod, "_arrow_solver",
+                        lambda *a: calls.append(1) or arrow_solver(*a))
+    sol = solve(prob)
+    monkeypatch.setattr(sdp_mod, "_ARROW_CALL", math.inf)
+    ref = solve(prob)
+    assert len(calls) == sol.iterations - 1
+    for s in (sol, ref):
+        assert s.status is SdpStatus.OPTIMAL and s.gap_target == 1e-8
+    assert abs(sol.iterations - ref.iterations) <= 1
+    assert sol.dual_value == pytest.approx(ref.dual_value, abs=1e-8)
+
+
+def test_arrow_factor_failure_falls_back_to_the_dense_ladder():
+    """A group tile that is not positive definite (rank 1) fails the
+    block-arrow Cholesky: the whole matrix is then averaged in place and
+    takes the jittered dense Cholesky, which still solves a consistent
+    system."""
+    rng = np.random.default_rng(31)
+    arrow = sdp_mod._Arrow([np.array([0, 2, 5]), np.array([1, 4])],
+                           np.array([3, 6]))
+    order = np.concatenate(arrow.groups + [arrow.border])
+    # L lower triangular in arrow order, zero between the groups, with a
+    # rank-1 diagonal block for the first group
+    low = np.tril(rng.normal(size=(7, 7))) + 3 * np.eye(7)
+    low[3:5, :3] = 0.0
+    low[:3, :3] = np.outer(rng.normal(size=3), [1.0, 0.0, 0.0])
+    big = np.empty((7, 7))
+    big[np.ix_(order, order)] = low @ low.T
+    want = big.copy()
+    big[0, 2] += 1e-13             # the triangles differ, as assembled
+    assert sdp_mod._arrow_solver(big, arrow) is None
+    solver = sdp_mod._make_solver(big, arrow)
+    assert np.array_equal(big, big.T)
+    assert big[0, 2] == big[2, 0] == pytest.approx(want[0, 2], abs=1e-12)
+    r = want @ rng.normal(size=7)
+    assert np.linalg.norm(want @ solver(r) - r) <= 1e-8 * np.linalg.norm(r)

@@ -11,7 +11,9 @@ per SDP solve: the operation and the solve's index within it, m, the block
 dims, a hash of the compiled (A, b, c), a hash of the interior-point result
 (status, iterations, tau, kappa, y, X, S), the iteration count, the status,
 whether the interior-point method ran in real arithmetic and on how many
-rows, the requested gap, the gap target the returned iterate met, whether
+rows, the layout its Schur matrix was factored in (``"dense"``, or the row
+counts of the groups and the border of a block-arrow factorization), the
+requested gap, the gap target the returned iterate met, whether
 the solve was relaxed and the dual value.  A solve counts as relaxed when it
 met a gap target larger than the one requested (a stalled run that returned
 a fallback iterate).
@@ -21,8 +23,9 @@ nothing in the package or the benchmark changes.
 
 ``--diff`` pairs the solves of two runs by operation and index, lists the
 pairs whose hashes differ, and totals iterations, numerical failures,
-relaxed solves and solves run in real arithmetic on both sides (records
-without the ``real`` field, from before the real path, count as complex).
+relaxed solves, solves run in real arithmetic and solves factored by
+blocks on both sides (records without the ``real`` or ``layout`` field,
+from before those paths, count as complex and dense).
 It names each pair whose relaxed flag flips, and prints the largest value
 change over pairs converged at the requested gap on both sides apart from
 the largest over pairs relaxed on either side: a kept fallback iterate can
@@ -108,6 +111,8 @@ class Recorder:
 
         def wrapped_ipm(rc, tol, descale):
             raw = ipm(rc, tol, descale)
+            # absent in checkouts from before the block-arrow path
+            arrow = getattr(rc, "arrow", None)
             if self._current is not None:
                 self._current.update(
                     ipm=_digest(np.array([raw.tau, raw.kappa]), raw.y,
@@ -116,7 +121,10 @@ class Recorder:
                                 np.frombuffer(raw.status.value.encode(),
                                               dtype=np.uint8)),
                     iterations=raw.iterations, status=raw.status.value,
-                    real=not np.iscomplexobj(rc.A.data), rows=rc.m)
+                    real=not np.iscomplexobj(rc.A.data), rows=rc.m,
+                    layout="dense" if arrow is None else {
+                        "groups": [len(g) for g in arrow.groups],
+                        "border": len(arrow.border)})
             return raw
 
         for mod in modules:
@@ -164,12 +172,13 @@ def _load(path: str) -> dict[tuple[str, int], dict]:
     return {(r["op"], r["index"]): r for r in recs}
 
 
-def _totals(recs) -> tuple[int, int, int, int]:
+def _totals(recs) -> tuple[int, int, int, int, int]:
     recs = list(recs)
     return (sum(r["iterations"] for r in recs),
             sum(r["status"] == "NumericalFailure" for r in recs),
             sum(r["relaxed"] for r in recs),
-            sum(r.get("real", False) for r in recs))
+            sum(r.get("real", False) for r in recs),
+            sum(r.get("layout", "dense") != "dense" for r in recs))
 
 
 def diff(before_path: str, after_path: str) -> int:
@@ -201,7 +210,7 @@ def diff(before_path: str, after_path: str) -> int:
               f"{b['status']} -> {a['status']}"
               + ("" if b["compile"] != a["compile"] else ", same program")
               + ("" if delta is None else f", |dvalue| {delta:.2e}"))
-    (ib, fb, rb, qb), (ia, fa, ra, qa) = _totals(before.values()), \
+    (ib, fb, rb, qb, kb), (ia, fa, ra, qa, ka) = _totals(before.values()), \
         _totals(after.values())
     print(f"iterations: {ib} -> {ia}; numerical failures: {fb} -> {fa}; "
           f"relaxed solves: {rb} -> {ra}")
@@ -210,6 +219,7 @@ def diff(before_path: str, after_path: str) -> int:
             print(f"  relaxed {'gained' if after[key]['relaxed'] else 'lost'}"
                   f": {key[0]} #{key[1]}")
     print(f"real solves: {qb}/{len(before)} -> {qa}/{len(after)}")
+    print(f"blocked solves: {kb}/{len(before)} -> {ka}/{len(after)}")
     for relaxed, over in ((False, "solves converged on both sides"),
                           (True, "relaxed solves")):
         if moved[relaxed]:
