@@ -327,11 +327,17 @@ class _Conic:
         row = np.repeat(np.arange(self.m), lens)
         blk = np.repeat(np.arange(len(dims)), dims * dims)[self.A.indices]
         self.arrow = _arrow_layout(row, blk, dims, self.m)
+        # each entry's Schur row: in arrow order on a blocked layout
+        if self.arrow is not None:
+            row, cut = self.arrow.at[row], self.arrow.cut
+        else:
+            cut = self.m
         order = np.argsort(blk, kind="stable")
         cuts = np.searchsorted(blk[order], np.arange(len(dims) + 1))
         parts = [order[cuts[j]:cuts[j + 1]] for j in range(len(dims))]
         self.schur = [_schur_block(row[e], self.A.indices[e] - self.offs[j],
-                                   self.A.data[e], int(dims[j]), self.where[j])
+                                   self.A.data[e], int(dims[j]), self.where[j],
+                                   cut)
                       for j, e in enumerate(parts) if dims[j] > 1]
         self.lin = None
         if sizes[0] == 1:
@@ -339,7 +345,7 @@ class _Conic:
             act, rows = np.unique(row[e], return_inverse=True)
             al = np.zeros((len(act), len(self.classes[0][1])), self.A.dtype)
             al[rows, pos[blk[e]]] = self.A.data[e]
-            self.lin = (al, _ix(act, act))
+            self.lin = (al, _tiles(act, act, cut))
         return row_scale, sb, sc
 
     def op(self, x: np.ndarray) -> np.ndarray:
@@ -480,6 +486,19 @@ def _ix(rows: np.ndarray, cols: np.ndarray):
     return np.ix_(r, c)
 
 
+def _tiles(rows: np.ndarray, cols: np.ndarray, cut: int) -> list:
+    """The rows x cols submatrix (ascending Schur indices) cut at the
+    border's first row `cut` into tiles (index, local rows, local columns):
+    one tile on a dense layout, and on a blocked one up to four, of which
+    the group part of each side is usually a run."""
+    def parts(idx):
+        k = int(np.searchsorted(idx, cut))
+        return [(idx[a:z], slice(a, z)) for a, z in ((0, k), (k, len(idx)))
+                if z > a]
+    return [(_ix(r, c), lr, lc) for r, lr in parts(rows)
+            for c, lc in parts(cols)]
+
+
 def _wxw(w: np.ndarray) -> np.ndarray:
     """K[p, q] = <B_p, W B_q W> over the `herm_basis` B_p of size d, from the
     entries of W alone: with B_p = a_p E_rs + conj(a_p) E_sr (a = 1/2 on the
@@ -538,22 +557,23 @@ def _index_rows(q: np.ndarray, d: int, nnz: int) -> np.ndarray:
 class _SchurBlock:
     """One block's share of the Schur complement (`_schur`).
 
-    `gather` holds (K index, row weights, column weights, Schur index) for
-    the unit rows that take the index formulas; `chunks` holds (stacked
-    A_k, column index, mirror index) per chunk of the other rows, each
-    taking the F1 product, and `index_rows` picks the gathered rows out of
-    such a column; W is scals[at[0]].W[at[1]]."""
+    `gather` holds (K index, row weights, column weights, Schur index) per
+    tile (`_tiles`) of the unit rows that take the index formulas; `chunks`
+    holds (stacked A_k, column tiles, mirror tiles) per chunk of the other
+    rows, each taking the F1 product, and `index_rows` picks the gathered
+    rows out of such a column; W is scals[at[0]].W[at[1]]."""
 
     acol: sp.csr_matrix
-    gather: tuple | None
+    gather: list
     index_rows: object
     chunks: list
     at: tuple
 
 
-def _schur_block(row, col, data, d: int, at: tuple) -> _SchurBlock:
-    """Split the active rows of one block's entries (rows conj(vec A_i))
-    by `_index_rows`, and lay out both paths; `at` locates its W."""
+def _schur_block(row, col, data, d: int, at: tuple, cut: int) -> _SchurBlock:
+    """Split the active rows of one block's entries (rows conj(vec A_i), at
+    their Schur rows) by `_index_rows`, and lay out both paths in tiles cut
+    at `cut` (`_tiles`); `at` locates its W."""
     act, rows = np.unique(row, return_inverse=True)
     n = len(act)
     # entries by row, then by column: the CSR layout of acol and atall
@@ -561,7 +581,7 @@ def _schur_block(row, col, data, d: int, at: tuple) -> _SchurBlock:
     rows, col, data = rows[o], col[o], data[o]
     acol = _csr(data, col, rows, n, d * d)
     index = np.zeros(n, dtype=bool)
-    gather = None
+    gather = []
     # real coordinates of the Hermitian part of each A_i over herm_basis
     # (the diagonal, then Re and Im of each entry above it; a real block
     # keeps the diagonal and Re, the compact K of `_wxw`), unless building
@@ -588,7 +608,8 @@ def _schur_block(row, col, data, d: int, at: tuple) -> _SchurBlock:
     if len(idx):
         p = coords.indices[coords.indptr[idx]]
         x = coords.data[coords.indptr[idx]]
-        gather = (_ix(p, p), x[:, None], x, _ix(act[idx], act[idx]))
+        gather = [(_ix(p[lr], p[lc]), x[lr, None], x[lc], ix)
+                  for ix, lr, lc in _tiles(act[idx], act[idx], cut)]
     # the dense rows' stacked A_k, (n_dense * d, d), cut into chunks
     pick = np.full(n, -1)
     pick[dense] = np.arange(len(dense))
@@ -601,18 +622,32 @@ def _schur_block(row, col, data, d: int, at: tuple) -> _SchurBlock:
         c1 = min(c0 + rows_per, len(dense))
         cols = act[dense[c0:c1]]
         chunks.append((atall if c1 - c0 == len(dense) else atall[c0 * d:c1 * d],
-                       _ix(act, cols),
-                       _ix(cols, act[idx]) if len(idx) else None))
+                       _tiles(act, cols, cut), _tiles(cols, act[idx], cut)))
     return _SchurBlock(acol, gather, _run(idx), chunks, at)
 
 
 @dataclass
 class _Arrow:
     """A block-arrow layout of the Schur matrix (`_arrow_layout`): the rows
-    of each group, between which H is zero, and those of the border."""
+    of each group, between which H is zero, and those of the border.  H is
+    held in arrow order, the groups' rows and then the border's, each in
+    row order: `order` lists the rows so, `at` gives each row's place,
+    `spans` each group's slice and `cut` the border's first place; `live`
+    indexes the tiles `_schur` writes, the groups' and the border's rows."""
 
     groups: list[np.ndarray]
     border: np.ndarray
+
+    def __post_init__(self):
+        self.order = np.concatenate(self.groups + [self.border])
+        self.at = np.empty(len(self.order), dtype=int)
+        self.at[self.order] = np.arange(len(self.order))
+        ends = np.cumsum([len(g) for g in self.groups]).tolist()
+        self.spans = [slice(e - len(g), e) for g, e in zip(self.groups, ends)]
+        self.cut = ends[-1] if ends else 0
+        rest = slice(self.cut, None)
+        self.live = [t for s in self.spans for t in ((s, s), (s, rest))] \
+            + [(rest, slice(None))]
 
 
 def _row_groups(row: np.ndarray, blk: np.ndarray, dims: np.ndarray,
@@ -665,34 +700,46 @@ def _csr(data, cols, rows, n: int, width: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, cols, ptr), shape=(n, width))
 
 
-def _schur(rc: _Conic, scals: list[_Scal]) -> np.ndarray:
-    """H_ik = Re tr(A_i W A_k W): each block of size >= 2 along the paths
-    `_schur_block` laid out (module docstring), then the linear cone's
-    A_l (W A_l W)^T; both triangles are kept and averaged in place, except
-    on a blocked layout, whose factorization reads one of them."""
-    big = np.zeros((rc.m, rc.m))
+def _schur(rc: _Conic, scals: list[_Scal], big: np.ndarray) -> np.ndarray:
+    """H_ik = Re tr(A_i W A_k W) into big, in place: each block of size
+    >= 2 along the paths `_schur_block` laid out (module docstring), then
+    the linear cone's A_l (W A_l W)^T, tile by tile.  A dense layout is
+    zeroed whole and averaged; a blocked one, in arrow order, has only its
+    live tiles zeroed, and keeps both triangles for its factorization to
+    read one of them.  Returns big."""
+    if rc.arrow is None:
+        big.fill(0.0)
+    else:
+        for ix in rc.arrow.live:
+            big[ix] = 0.0
     for blk in rc.schur:
         c, p = blk.at
         w = scals[c].W[p]
         d = w.shape[0]
-        if blk.gather is not None:
-            kix, xl, xr, ix = blk.gather
-            term = _wxw(w)[kix] * xl
-            term *= xr
-            big[ix] += term
+        if blk.gather:
+            k = _wxw(w)
+            for kix, xl, xr, ix in blk.gather:
+                term = k[kix] * xl
+                term *= xr
+                big[ix] += term
         for ta, cols, mirror in blk.chunks:
             nc = ta.shape[0] // d
             t1 = ta @ w                                    # stacked A_k W
             # laid out (a, c, k): the product is G^T, (d*d, nc), C-ordered
             t2 = w @ t1.reshape(nc, d, d).transpose(1, 2, 0).reshape(d, d * nc)
             contrib = (blk.acol @ t2.reshape(d * d, nc)).real   # (n_act, nc)
-            big[cols] += contrib
-            if mirror is not None:
-                big[mirror] += contrib[blk.index_rows].T
+            for ix, lr, lc in cols:
+                big[ix] += contrib[lr, lc]
+            if mirror:
+                sub = contrib[blk.index_rows]
+                for ix, lr, lc in mirror:
+                    big[ix] += sub[lc, lr].T
     if rc.lin is not None:     # the linear cone is class 0
-        al, ix = rc.lin
+        al, tiles = rc.lin
         w = scals[0].W.reshape(-1)
-        big[ix] += (al @ (w * (al.conj() * w)).T).real
+        term = (al @ (w * (al.conj() * w)).T).real
+        for ix, lr, lc in tiles:
+            big[ix] += term[lr, lc]
     if rc.arrow is None:
         _symmetrize(big)
     return big
@@ -716,13 +763,15 @@ def _w_apply(rc: _Conic, scals: list[_Scal], v: np.ndarray) -> np.ndarray:
 def _make_solver(big: np.ndarray, arrow: _Arrow | None = None
                  ) -> Callable[[np.ndarray], np.ndarray]:
     """A solver of big x = r: the block-arrow Cholesky on a blocked layout,
-    whose big arrives with its triangles not averaged (`_schur`); else, or
-    when one of its factors fails, the dense Cholesky up a jitter ladder,
-    and eigh last."""
+    whose big arrives in arrow order with its triangles not averaged
+    (`_schur`); else, or when one of its factors fails, the dense Cholesky
+    up a jitter ladder, and eigh last.  A failed blocked factor leaves big
+    as it is: the ladder runs on an averaged copy in row order."""
     if arrow is not None:
         solve = _arrow_solver(big, arrow)
         if solve is not None:
             return solve
+        big = big[np.ix_(arrow.at, arrow.at)]
         _symmetrize(big)
     tr = float(np.trace(big)) / max(1, big.shape[0])
     for jitter in (0.0, 1e-13 * tr, 1e-10 * tr, 1e-7 * tr):
@@ -739,17 +788,17 @@ def _arrow_solver(big: np.ndarray, arrow: _Arrow
                   ) -> Callable[[np.ndarray], np.ndarray] | None:
     """Block-arrow Cholesky: L_g L_g^T = H_gg and Z_g = L_g^-1 H_gb per
     group g, and L_b L_b^T = H_bb - sum_g Z_g^T Z_g on the border b; None
-    when one of them fails.  It gathers each group's rows once and reads
-    one triangle of each diagonal tile, with H_gb from the group's rows, so
-    no entry is averaged and the tiles between groups are never read."""
-    b = arrow.border
-    hbb, parts = big.take(b, 0).take(b, 1), []
-    for g in arrow.groups:
-        rows = big.take(g, 0)
-        chol, info = lapack.dpotrf(rows.take(g, 1), lower=1, clean=0)
+    when one of them fails.  big is in arrow order (`_Arrow`): each tile is
+    a slice, of which it reads one triangle of each diagonal tile and H_gb
+    from the group's rows, so no entry is averaged and the tiles between
+    groups are never read.  The solver takes and returns row order."""
+    b = slice(arrow.cut, None)
+    hbb, parts = big[b, b].copy(), []
+    for g in arrow.spans:
+        chol, info = lapack.dpotrf(big[g, g], lower=1, clean=0)
         if info:
             return None
-        z = lapack.dtrtrs(chol, rows.take(b, 1), lower=1)[0]
+        z = lapack.dtrtrs(chol, big[g, b], lower=1)[0]
         hbb -= z.T @ z
         parts.append((g, chol, z))
     cb, info = lapack.dpotrf(hbb, lower=1, clean=0)
@@ -757,15 +806,16 @@ def _arrow_solver(big: np.ndarray, arrow: _Arrow
         return None
 
     def solve(r):
+        r = r[arrow.order]
         us = [lapack.dtrtrs(chol, r[g], lower=1)[0] for g, chol, _ in parts]
         xb = r[b] - sum(z.T @ u for (_, _, z), u in zip(parts, us))
-        if len(b):                  # LAPACK rejects an empty border
+        if arrow.cut < len(r):      # LAPACK rejects an empty border
             xb = lapack.dpotrs(cb, xb, lower=1)[0]
         x = np.empty_like(r)
         x[b] = xb
         for (g, chol, z), u in zip(parts, us):
             x[g] = lapack.dtrtrs(chol, u - z @ xb, lower=1, trans=1)[0]
-        return x
+        return x[arrow.at]
     return solve
 
 
@@ -805,6 +855,7 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
           .copy() for d, idx in rc.classes]
     ss = [st.copy() for st in xs]
     y = np.zeros(rc.m)
+    big = np.zeros((rc.m, rc.m))    # the Schur matrix, refilled each iteration
     tau, kap = 1.0, 1.0
     c, b = rc.c_vec, rc.b
     # convergence is judged on the original (un-scaled) data magnitudes
@@ -867,8 +918,7 @@ def _ipm(rc: _Conic, tol: SdpTolerances, descale: tuple) -> _RawResult:
 
         # Nesterov-Todd scaling and Schur factorization
         scals = [_nt_block(xc, sc) for xc, sc in zip(xs, ss)]
-        big = _schur(rc, scals)
-        solver = _make_solver(big, rc.arrow)
+        solver = _make_solver(_schur(rc, scals, big), rc.arrow)
         wc = _w_apply(rc, scals, c)
         awc = rc.op(wc)
         cwc = _dot(c, wc)

@@ -630,10 +630,11 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     # paths; the size-1 block 2 is the linear cone, active on rows 1 and 4
     blocks = rc.schur
     assert [b.at for b in blocks] == [rc.where[j] for j in (0, 1, 3, 4)]
-    assert all(b.gather is None for b in blocks[:2])
+    assert not any(b.gather for b in blocks[:2])
     for b in blocks[2:]:
-        assert b.gather is not None and b.chunks
-    al, ix = rc.lin
+        assert b.gather and b.chunks
+    # on a dense layout every index is one tile
+    al, [(ix, _, _)] = rc.lin
     assert al.shape == (2, 1) and rc.classes[0][0] == 1
     assert [list(i.ravel()) for i in ix] == [[1, 4], [1, 4]]
     act = [np.unique(rc.A[:, rc.offs[j]:rc.offs[j + 1]].tocoo().row)
@@ -646,11 +647,12 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     _assert_unit_index_rows(rc, blocks[3], 4, act[4], 2)
     # block 3 gathers K through slices and writes through index arrays,
     # block 4 the other way round
-    assert isinstance(blocks[2].gather[0][0], slice)
-    assert not isinstance(blocks[2].gather[3][0], slice)
-    assert not isinstance(blocks[3].gather[0][0], slice)
-    assert isinstance(blocks[3].gather[3][0], slice)
-    one_chunk = sdp_mod._schur(rc, scals)
+    assert len(blocks[2].gather) == len(blocks[3].gather) == 1
+    assert isinstance(blocks[2].gather[0][0][0], slice)
+    assert not isinstance(blocks[2].gather[0][3][0], slice)
+    assert not isinstance(blocks[3].gather[0][0][0], slice)
+    assert isinstance(blocks[3].gather[0][3][0], slice)
+    one_chunk = sdp_mod._schur(rc, scals, _stale(rc.m))
     # 36 entries: blocks of size 3, 2 and 16 take 4, 9 and 1 rows a chunk,
     # so block 0 has two chunks and block 3 one per F1 row: its three dense
     # rows and its two-diagonal row
@@ -658,7 +660,7 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     rc = prob.compile()
     rc.scale()
     assert len(rc.schur[0].chunks) == 2 and len(rc.schur[2].chunks) == 4
-    chunked = sdp_mod._schur(rc, scals)
+    chunked = sdp_mod._schur(rc, scals, _stale(rc.m))
     for got in (one_chunk, chunked):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(got, got.T)
@@ -680,10 +682,10 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert all(sc.W.dtype == np.float64 for sc in scals)
     assert sdp_mod._wxw(scals[1].W[0]).shape == (136, 136)
     blk = rc.schur[1]
-    assert blk.gather is not None and blk.chunks
+    assert blk.gather and blk.chunks
     act = np.unique(rc.A[:, rc.offs[1]:rc.offs[2]].tocoo().row)
     _assert_unit_index_rows(rc, blk, 1, act, 2)
-    got = sdp_mod._schur(rc, scals)
+    got = sdp_mod._schur(rc, scals, _stale(rc.m))
     want = _dense_schur(rc, scals)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(got, got.T)
@@ -704,6 +706,12 @@ def _assert_unit_index_rows(rc, blk, j, act, n_two):
     index[blk.index_rows] = True
     assert index.any() and np.all(q[index] == 1)
     assert np.sum(q == 2) == n_two and not index[q == 2].any()
+
+
+def _stale(m):
+    """A Schur buffer full of NaN, as if left by an earlier assembly that
+    `_schur` must not read."""
+    return np.full((m, m), np.nan)
 
 
 def _class_scals(rc, pd):
@@ -803,17 +811,19 @@ def test_row_groups_of_symmetric_and_generic_programs():
 
 
 def test_arrow_solve_matches_dense(monkeypatch):
-    """On a Schur matrix of the n = 3 program, exactly zero between its
-    groups, the block-arrow solve agrees with the dense Cholesky to 1e-10
-    relative, and whole solves through either path agree."""
+    """On a Schur matrix of the n = 3 program, assembled in arrow order and
+    exactly zero between its groups, the block-arrow solve agrees with the
+    dense Cholesky of the matrix in row order to 1e-10 relative, and whole
+    solves through either path agree."""
     rng = np.random.default_rng(29)
     prob = _tensor_power_program()
     rc = prob.compile()
     rc.scale()
-    big = sdp_mod._schur(rc, _class_scals(rc, lambda d: rand_pd(d, rng)))
-    g0, g1 = rc.arrow.groups
-    assert not big[np.ix_(g0, g1)].any() and not big[np.ix_(g1, g0)].any()
-    dense = big.copy()
+    big = sdp_mod._schur(rc, _class_scals(rc, lambda d: rand_pd(d, rng)),
+                         np.zeros((rc.m, rc.m)))
+    g0, g1 = rc.arrow.spans
+    assert not big[g0, g1].any() and not big[g1, g0].any()
+    dense = big[np.ix_(rc.arrow.at, rc.arrow.at)]
     sdp_mod._symmetrize(dense)
     blocked, full = sdp_mod._make_solver(big, rc.arrow), \
         sdp_mod._make_solver(dense)
@@ -834,27 +844,35 @@ def test_arrow_solve_matches_dense(monkeypatch):
     assert sol.dual_value == pytest.approx(ref.dual_value, abs=1e-8)
 
 
-def test_arrow_factor_failure_falls_back_to_the_dense_ladder():
+def test_arrow_factor_failure_falls_back_to_the_dense_ladder(monkeypatch):
     """A group tile that is not positive definite (rank 1) fails the
-    block-arrow Cholesky: the whole matrix is then averaged in place and
-    takes the jittered dense Cholesky, which still solves a consistent
-    system."""
+    block-arrow Cholesky: the matrix, in arrow order, is then copied back
+    to row order, the copy averaged and put through the jittered dense
+    Cholesky, which still solves a consistent system; the assembled matrix
+    itself is left as it was."""
     rng = np.random.default_rng(31)
     arrow = sdp_mod._Arrow([np.array([0, 2, 5]), np.array([1, 4])],
                            np.array([3, 6]))
-    order = np.concatenate(arrow.groups + [arrow.border])
+    assert arrow.order.tolist() == [0, 2, 5, 1, 4, 3, 6]
     # L lower triangular in arrow order, zero between the groups, with a
     # rank-1 diagonal block for the first group
     low = np.tril(rng.normal(size=(7, 7))) + 3 * np.eye(7)
     low[3:5, :3] = 0.0
     low[:3, :3] = np.outer(rng.normal(size=3), [1.0, 0.0, 0.0])
-    big = np.empty((7, 7))
-    big[np.ix_(order, order)] = low @ low.T
-    want = big.copy()
-    big[0, 2] += 1e-13             # the triangles differ, as assembled
+    big = low @ low.T
+    want = big[np.ix_(arrow.at, arrow.at)]      # in row order
+    big[0, 1] += 1e-13             # the triangles differ, as assembled
+    kept = big.copy()
     assert sdp_mod._arrow_solver(big, arrow) is None
+    averaged, symmetrize = [], sdp_mod._symmetrize
+    monkeypatch.setattr(sdp_mod, "_symmetrize",
+                        lambda m: averaged.append(m) or symmetrize(m))
     solver = sdp_mod._make_solver(big, arrow)
-    assert np.array_equal(big, big.T)
-    assert big[0, 2] == big[2, 0] == pytest.approx(want[0, 2], abs=1e-12)
+    assert np.array_equal(big, kept)
+    [avg] = averaged
+    assert avg is not big and np.array_equal(avg, avg.T)
+    # rows 0 and 2 hold arrow places 0 and 1
+    assert avg[0, 2] == avg[2, 0] == pytest.approx(want[0, 2], abs=1e-12)
+    assert np.max(np.abs(avg - want)) <= 1e-13
     r = want @ rng.normal(size=7)
     assert np.linalg.norm(want @ solver(r) - r) <= 1e-8 * np.linalg.norm(r)
