@@ -38,17 +38,18 @@ alone; `solve` scatters y back with zeros on the imaginary rows, returns
 complex-typed blocks and verifies them against every original row.
 
 The Schur complement H_ik = Re tr(A_i W A_k W) is assembled per block along
-one of two paths, chosen once per solve from the compiled rows by a cost
-rule on the block size d and the block's active rows, unit rows and
-nonzeros (`_index_rows`; no setting).  Unit rows, whose Hermitian part is
-a multiple of one `herm_basis` element, read their entries between each
-other off the real d^2 x d^2 matrix K of X -> W X W (on a real block, its
-d(d+1)/2-square quarter over the diagonal and real-part coordinates),
-built from the entries of W alone (the index formulas of Fujisawa, Kojima
-& Nakata, Math. Program. 79 (1997)) as one scaled gather.  Every other row
-takes the F1 product W A_k W against every active row.  A column computed
-once is written as a column and as a row, a block writes through slices
-where its rows run, and both triangles are kept and averaged in place.
+one of three routes, chosen once per solve by a cost rule on the block size
+d and the block's active rows, unit rows and nonzeros (`_index_rows`; no
+setting).  A block's share is the congruence C K C^T of the real
+coordinates C of its rows over `herm_basis` and the real d^2 x d^2 matrix K
+of X -> W X W (on a real block, its d(d+1)/2-square quarter), built from
+the entries of W alone (the index formulas of Fujisawa, Kojima & Nakata,
+Math. Program. 79 (1997)).  A block with few coordinates and many rows
+takes it whole, as two GEMMs.  Otherwise unit rows (one coordinate) gather
+their entries between each other off K, and every other row takes the F1
+product W A_k W against every active row, written as a column and a row.
+Blocks write through slices where their rows run, into one Schur matrix
+per solve; a dense layout keeps both triangles and averages them in place.
 Everything is dense and deterministic: fixed starting point, fixed
 iteration schedule, no randomization.
 
@@ -59,14 +60,17 @@ blocks each row touches (`_row_groups`): patterns by descending row count
 join the group whose blocks they touch, and one that touches a 1x1 block,
 or the blocks of two groups that already hold rows, goes to the border.
 Rows of two groups share no block, so H is exactly zero between them; on
-the symmetric programs the groups are the irreps.  Each iteration factors
-each group's tile, forms Z = L^-1 H_gb against the border, and factors the
-border's complement H_bb - sum Z^T Z.  It reads one triangle of each tile,
-so nothing is averaged and the tiles between groups are never read; when
-any factor fails, the whole matrix is averaged and takes the dense ladder.
-The layout is kept when its flops plus a per-tile call cost (`_ARROW_CALL`;
-no setting) undercut the dense Cholesky (`_arrow_layout`).  One group with a border costs the
-dense flops exactly, so a generic program stays dense, bit for bit.
+the symmetric programs the groups are the irreps.  A blocked H is held in
+arrow order, the groups' rows and then the border's, and each iteration
+zeroes and fills only the group tiles, the group x border tiles and the
+border rows: the tiles between groups are never written.  It factors each
+group's tile, forms Z = L^-1 H_gb, and factors the border's complement
+H_bb - sum Z^T Z, reading one triangle of each tile, so nothing is
+averaged; when a factor fails, a copy in row order is averaged and takes
+the dense ladder.  The layout is kept when its flops plus a per-tile call
+cost (`_ARROW_CALL`; no setting) undercut the dense Cholesky
+(`_arrow_layout`); one group with a border costs the dense flops exactly,
+so a generic program stays dense, bit for bit.
 
 Each program is solved once.  A run keeps the first iterate meeting each
 fallback gap target (1e-7, 1e-6) looser than the requested gap, with both
@@ -328,24 +332,22 @@ class _Conic:
         blk = np.repeat(np.arange(len(dims)), dims * dims)[self.A.indices]
         self.arrow = _arrow_layout(row, blk, dims, self.m)
         # each entry's Schur row: in arrow order on a blocked layout
-        if self.arrow is not None:
-            row, cut = self.arrow.at[row], self.arrow.cut
-        else:
-            cut = self.m
+        cut = self.m if self.arrow is None else self.arrow.cut
+        srow = row if self.arrow is None else self.arrow.at[row]
         order = np.argsort(blk, kind="stable")
         cuts = np.searchsorted(blk[order], np.arange(len(dims) + 1))
         parts = [order[cuts[j]:cuts[j + 1]] for j in range(len(dims))]
-        self.schur = [_schur_block(row[e], self.A.indices[e] - self.offs[j],
+        self.schur = [_schur_block(srow[e], self.A.indices[e] - self.offs[j],
                                    self.A.data[e], int(dims[j]), self.where[j],
                                    cut)
                       for j, e in enumerate(parts) if dims[j] > 1]
         self.lin = None
         if sizes[0] == 1:
             e = np.flatnonzero(dims[blk] == 1)
-            act, rows = np.unique(row[e], return_inverse=True)
+            act, rows = np.unique(srow[e], return_inverse=True)
             al = np.zeros((len(act), len(self.classes[0][1])), self.A.dtype)
             al[rows, pos[blk[e]]] = self.A.data[e]
-            self.lin = (al, _tiles(act, act, cut))
+            self.lin = (al, _ix(act, act))   # border rows on a blocked layout
         return row_scale, sb, sc
 
     def op(self, x: np.ndarray) -> np.ndarray:
@@ -462,6 +464,9 @@ _SCHUR_CHUNK = 1_500_000  # complex entries per assembly chunk
 #: Costs of the assembly rule (`_index_rows`), in complex multiply-adds of
 #: the F1 product: one entry of K, building K at all, one gathered entry
 _K_ENTRY, _K_FIXED, _GATHER = 12.0, 1e5, 2.5
+#: One real multiply-add of the congruence's GEMMs, writes included: 0.05-
+#: 0.07 at 64 and 400 coordinates, 0.10 at 16 (n = 3 blocks, one thread)
+_GEMM = 0.1
 #: Cost of the factorization rule (`_arrow_layout`), in flops of the
 #: Cholesky: the calls of one tile of a block-arrow factorization (its
 #: gathers, factor, triangular solves and their dispatch), about 50 us at a
@@ -487,10 +492,9 @@ def _ix(rows: np.ndarray, cols: np.ndarray):
 
 
 def _tiles(rows: np.ndarray, cols: np.ndarray, cut: int) -> list:
-    """The rows x cols submatrix (ascending Schur indices) cut at the
-    border's first row `cut` into tiles (index, local rows, local columns):
-    one tile on a dense layout, and on a blocked one up to four, of which
-    the group part of each side is usually a run."""
+    """The rows x cols submatrix (ascending Schur indices) as tiles (index,
+    local rows, local columns), each side cut at the border's first row
+    `cut`: one tile on a dense layout, up to four on a blocked one."""
     def parts(idx):
         k = int(np.searchsorted(idx, cut))
         return [(idx[a:z], slice(a, z)) for a, z in ((0, k), (k, len(idx)))
@@ -538,48 +542,51 @@ def _wxw(w: np.ndarray) -> np.ndarray:
     return k
 
 
-def _index_rows(q: np.ndarray, d: int, nnz: int) -> np.ndarray:
+def _index_rows(q: np.ndarray, d: int, nnz: int,
+                width: int) -> np.ndarray | None:
     """The assembly rule of one block: which active rows take the index
-    formulas, from q, each row's count of Hermitian-basis coordinates, and
-    nnz, the block's nonzeros.  A dense row costs its F1 product W A_k W
-    and one dot with every active row; a unit row (q = 1) costs its
-    gathered row of K.  The block gathers its unit rows when the F1 work
-    they save pays for building K."""
+    formulas, from q, each row's count of Hermitian-basis coordinates, nnz,
+    the block's nonzeros, and width, the coordinates of K.  A dense row
+    costs its F1 product W A_k W and one dot with every active row; a unit
+    row (q = 1) costs its gathered row of K.  The block gathers its unit
+    rows when the F1 work they save pays for building K.  None when the
+    congruence C K C^T of every row, two GEMMs, costs less still."""
     unit = q == 1
-    n = unit.sum()
-    if n * (d ** 3 + nnz) <= (_K_FIXED + _K_ENTRY * d ** 4
-                              + _GATHER * len(q) * n):
+    n, nu = len(q), unit.sum()
+    row, k = d ** 3 + nnz, _K_FIXED + _K_ENTRY * d ** 4
+    if nu * row <= k + _GATHER * n * nu:
         unit[:] = False
-    return unit
+    cost = k + _GATHER * n * nu + (n - nu) * row if unit.any() else n * row
+    return None if k + _GEMM * n * width * (n + width) < cost else unit
 
 
 @dataclass
 class _SchurBlock:
-    """One block's share of the Schur complement (`_schur`).
-
-    `gather` holds (K index, row weights, column weights, Schur index) per
-    tile (`_tiles`) of the unit rows that take the index formulas; `chunks`
-    holds (stacked A_k, column tiles, mirror tiles) per chunk of the other
-    rows, each taking the F1 product, and `index_rows` picks the gathered
+    """One block's share of the Schur complement (`_schur`), in tiles
+    (`_tiles`): `gather` holds (K index, row weights, column weights, Schur
+    index) per tile of the unit rows that take the index formulas, or, with
+    the dense coordinates C of a congruence block in `coords`, the tiles of
+    its active rows; `chunks` holds (stacked A_k, column tiles, mirror
+    tiles) per chunk of the F1 rows, and `index_rows` picks the gathered
     rows out of such a column; W is scals[at[0]].W[at[1]]."""
 
-    acol: sp.csr_matrix
+    acol: sp.csr_matrix | None
     gather: list
     index_rows: object
     chunks: list
     at: tuple
+    coords: np.ndarray | None = None
 
 
 def _schur_block(row, col, data, d: int, at: tuple, cut: int) -> _SchurBlock:
     """Split the active rows of one block's entries (rows conj(vec A_i), at
-    their Schur rows) by `_index_rows`, and lay out both paths in tiles cut
-    at `cut` (`_tiles`); `at` locates its W."""
+    their Schur rows) by `_index_rows`, and lay out their routes in tiles
+    cut at `cut` (`_tiles`); `at` locates its W."""
     act, rows = np.unique(row, return_inverse=True)
     n = len(act)
     # entries by row, then by column: the CSR layout of acol and atall
     o = np.lexsort((col, rows))
     rows, col, data = rows[o], col[o], data[o]
-    acol = _csr(data, col, rows, n, d * d)
     index = np.zeros(n, dtype=bool)
     gather = []
     # real coordinates of the Hermitian part of each A_i over herm_basis
@@ -602,8 +609,12 @@ def _schur_block(row, col, data, d: int, at: tuple, cut: int) -> _SchurBlock:
               np.concatenate([pos, pos[im] + 1]))),
             shape=(n, d + pair * (d * (d - 1) // 2)))
         coords.eliminate_zeros()
-        q = np.diff(coords.indptr)
-        index = _index_rows(q, d, len(data))
+        index = _index_rows(np.diff(coords.indptr), d, len(data),
+                            coords.shape[1])
+        if index is None:
+            return _SchurBlock(None, _tiles(act, act, cut), None, [], at,
+                               coords.toarray())
+    acol = _csr(data, col, rows, n, d * d)
     idx, dense = np.flatnonzero(index), np.flatnonzero(~index)
     if len(idx):
         p = coords.indices[coords.indptr[idx]]
@@ -631,23 +642,18 @@ class _Arrow:
     """A block-arrow layout of the Schur matrix (`_arrow_layout`): the rows
     of each group, between which H is zero, and those of the border.  H is
     held in arrow order, the groups' rows and then the border's, each in
-    row order: `order` lists the rows so, `at` gives each row's place,
-    `spans` each group's slice and `cut` the border's first place; `live`
-    indexes the tiles `_schur` writes, the groups' and the border's rows."""
+    row order: `order` lists the rows so and `at` gives each row's place,
+    `spans` each group's slice and `cut` the border's first place."""
 
     groups: list[np.ndarray]
     border: np.ndarray
 
     def __post_init__(self):
         self.order = np.concatenate(self.groups + [self.border])
-        self.at = np.empty(len(self.order), dtype=int)
-        self.at[self.order] = np.arange(len(self.order))
-        ends = np.cumsum([len(g) for g in self.groups]).tolist()
-        self.spans = [slice(e - len(g), e) for g, e in zip(self.groups, ends)]
-        self.cut = ends[-1] if ends else 0
-        rest = slice(self.cut, None)
-        self.live = [t for s in self.spans for t in ((s, s), (s, rest))] \
-            + [(rest, slice(None))]
+        self.at = np.argsort(self.order)
+        ends = np.cumsum([0] + [len(g) for g in self.groups]).tolist()
+        self.spans = [slice(a, z) for a, z in zip(ends, ends[1:])]
+        self.cut = ends[-1]
 
 
 def _row_groups(row: np.ndarray, blk: np.ndarray, dims: np.ndarray,
@@ -702,21 +708,27 @@ def _csr(data, cols, rows, n: int, width: int) -> sp.csr_matrix:
 
 def _schur(rc: _Conic, scals: list[_Scal], big: np.ndarray) -> np.ndarray:
     """H_ik = Re tr(A_i W A_k W) into big, in place: each block of size
-    >= 2 along the paths `_schur_block` laid out (module docstring), then
-    the linear cone's A_l (W A_l W)^T, tile by tile.  A dense layout is
-    zeroed whole and averaged; a blocked one, in arrow order, has only its
-    live tiles zeroed, and keeps both triangles for its factorization to
-    read one of them.  Returns big."""
+    >= 2 along the routes `_schur_block` laid out (module docstring), tile
+    by tile, then the linear cone's A_l (W A_l W)^T.  A dense layout is
+    zeroed whole and averaged; a blocked one, in arrow order, has only the
+    tiles it writes zeroed, and keeps both triangles for its factorization
+    to read one of them.  Returns big."""
     if rc.arrow is None:
         big.fill(0.0)
     else:
-        for ix in rc.arrow.live:
-            big[ix] = 0.0
+        rest = slice(rc.arrow.cut, None)
+        big[rest] = 0.0
+        for g in rc.arrow.spans:
+            big[g, g] = big[g, rest] = 0.0
     for blk in rc.schur:
         c, p = blk.at
         w = scals[c].W[p]
         d = w.shape[0]
-        if blk.gather:
+        if blk.coords is not None:          # every row: C K C^T
+            share = blk.coords @ _wxw(w) @ blk.coords.T
+            for ix, lr, lc in blk.gather:
+                big[ix] += share[lr, lc]
+        elif blk.gather:
             k = _wxw(w)
             for kix, xl, xr, ix in blk.gather:
                 term = k[kix] * xl
@@ -735,11 +747,9 @@ def _schur(rc: _Conic, scals: list[_Scal], big: np.ndarray) -> np.ndarray:
                 for ix, lr, lc in mirror:
                     big[ix] += sub[lc, lr].T
     if rc.lin is not None:     # the linear cone is class 0
-        al, tiles = rc.lin
+        al, ix = rc.lin
         w = scals[0].W.reshape(-1)
-        term = (al @ (w * (al.conj() * w)).T).real
-        for ix, lr, lc in tiles:
-            big[ix] += term[lr, lc]
+        big[ix] += (al @ (w * (al.conj() * w)).T).real
     if rc.arrow is None:
         _symmetrize(big)
     return big

@@ -25,8 +25,9 @@ and these isometries reconstruct A = sum_T W_T M W_T^dag.  Traces weight
 each block by the number of tableaux, the irrep dimension.
 
 ``h_min_smooth_power`` / ``h_max_smooth_power`` evaluate the smoothed
-entropies of rho^(x)n for n <= 4 through these blocks: the Schur complement
-of the interior point is dense, and n = 5 on qubit pairs would have
+entropies of rho^(x)n for n <= 4 through these blocks: the interior point
+holds its Schur complement as one m x m matrix, of which it fills and
+factors the irrep tiles and a border, and n = 5 on qubit pairs would have
 m = 15,504 constraints.  They hand the compressed blocks of rho^(x)n, the
 compressed images of each sigma irrep's parameters (`_conditioner_maps`)
 and the irrep dimensions as weights to the one exact or smoothing program of
@@ -49,8 +50,9 @@ from .entropy import (EntropyQuery, _check_block_length, _hmin_blocks,
 
 __all__ = ["SymmetricBlocks", "h_min_smooth_power", "h_max_smooth_power"]
 
-# The interior point factors a dense Schur complement: n = 5 on qubit pairs
-# gives m = 15,504 constraints, a 1.9 GB matrix.
+# The interior point holds the Schur complement as one m x m matrix, filled
+# only in its irrep tiles and border: n = 5 on qubit pairs gives m = 15,504
+# constraints, a 1.9 GB matrix.
 _MAX_COPIES = 4
 
 

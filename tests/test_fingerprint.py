@@ -11,7 +11,7 @@ TOOL = ROOT / "tools" / "fingerprint.py"
 
 
 def _rec(index, ipm="i0", iterations=10, status="Optimal", relaxed=False,
-         value=1.0, real=None, m=4, layout=None):
+         value=1.0, real=None, m=4, layout=None, routes=None):
     rec = {"op": "op", "index": index, "m": m, "blocks": [2], "gap": 1e-8,
            "relaxed": relaxed, "compile": "c0", "ipm": ipm,
            "iterations": iterations, "status": status,
@@ -20,6 +20,8 @@ def _rec(index, ipm="i0", iterations=10, status="Optimal", relaxed=False,
         rec.update(real=real, rows=3 if real else 4)
     if layout is not None:
         rec.update(layout=layout)
+    if routes is not None:
+        rec.update(routes=dict(zip(("gather", "congruence", "f1"), routes)))
     return rec
 
 
@@ -44,6 +46,8 @@ def test_identical_runs_exit_zero(tmp_path):
            "relaxed solves: 1 -> 1" in out
     assert "real solves: 0/2 -> 0/2" in out
     assert "blocked solves: 0/2 -> 0/2" in out
+    assert "Schur rows by route (gather/congruence/F1): 0/0/0 -> 0/0/0" \
+        in out
     assert "largest value change" not in out
 
 
@@ -114,11 +118,28 @@ def test_blocked_solves_counted_without_the_field_before(tmp_path):
     assert "blocked solves: 1/2 -> 1/2" in out
 
 
+def test_schur_routes_totalled_without_the_field_before(tmp_path):
+    # records from before the routes were recorded carry no "routes" field
+    before = [_rec(0), _rec(1)]
+    after = [_rec(0, routes=(400, 0, 20)), _rec(1, ipm="c", routes=(0, 432, 8))]
+    code, out = _diff(tmp_path, before, after)
+    assert code == 1, out
+    assert "Schur rows by route (gather/congruence/F1): 0/0/0 -> 400/432/28" \
+        in out
+    code, out = _diff(tmp_path, after, after)
+    assert code == 0, out
+    assert "Schur rows by route (gather/congruence/F1): 400/432/28 -> " \
+        "400/432/28" in out
+
+
 def test_recorder_reads_real_arithmetic_and_rows():
     """The recorder notes whether the interior-point method ran real, on
-    how many rows and in which Schur layout: a real program with one
-    imaginary row runs on the other two, its complex twin on all three,
-    both dense, and a program of two decoupled blocks factors by groups."""
+    how many rows, in which Schur layout and along which Schur routes: a
+    real program with one imaginary row runs on the other two, its complex
+    twin on all three, both dense and by F1; with K free to build, the
+    twin gathers its two unit rows, or takes the congruence with all three
+    when the GEMMs are free too; and a program of two decoupled blocks
+    factors by groups."""
     script = """
 import json
 import numpy as np
@@ -127,12 +148,22 @@ from secrecy import sdp
 rec = fingerprint.Recorder(sdp)
 rec.install([sdp])
 rec.begin_op("op")
-for c in (np.diag([1.0, 2.0]), np.array([[1.0, 1j], [-1j, 2.0]])):
+def solve(c):
     prob = sdp.SdpProblem([2], [c])
     prob.add_constraint({0: np.eye(2)}, 1.0)
     prob.add_constraint({0: np.diag([1.0, 0.0])}, 0.25)
     prob.add_constraint({0: sdp.herm_basis(2)[3]}, 0.0)
     sdp.solve(prob)
+twin = np.array([[1.0, 1j], [-1j, 2.0]])
+for c in (np.diag([1.0, 2.0]), twin):
+    solve(c)
+costs = sdp._K_FIXED, sdp._K_ENTRY, sdp._GEMM
+sdp._K_FIXED = sdp._K_ENTRY = 0.0
+sdp._GEMM = float("inf")
+solve(twin)
+sdp._GEMM = 0.0
+solve(twin)
+sdp._K_FIXED, sdp._K_ENTRY, sdp._GEMM = costs
 # two blocks with two rows each, and a row on both and a 1x1 block: with
 # no call cost the Schur matrix is factored as two groups and a border
 sdp._ARROW_CALL = 0.0
@@ -143,7 +174,8 @@ for j in (0, 1):
 prob.add_constraint({0: np.eye(2), 1: np.eye(2), 2: np.eye(1)}, 3.0)
 sdp.solve(prob)
 rec.uninstall()
-print(json.dumps([(r["real"], r["rows"], r["m"], r["layout"])
+print(json.dumps([(r["real"], r["rows"], r["m"], r["layout"],
+                   [r["routes"][k] for k in fingerprint.ROUTES])
                   for r in rec.records]))
 """
     env = dict(os.environ, PYTHONHASHSEED="0",
@@ -153,5 +185,6 @@ print(json.dumps([(r["real"], r["rows"], r["m"], r["layout"])
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        [True, 2, 3, "dense"], [False, 3, 3, "dense"],
-        [True, 5, 5, {"groups": [2, 2], "border": 1}]]
+        [True, 2, 3, "dense", [0, 0, 2]], [False, 3, 3, "dense", [0, 0, 3]],
+        [False, 3, 3, "dense", [2, 0, 1]], [False, 3, 3, "dense", [0, 3, 0]],
+        [True, 5, 5, {"groups": [2, 2], "border": 1}, [0, 0, 6]]]

@@ -633,8 +633,7 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert not any(b.gather for b in blocks[:2])
     for b in blocks[2:]:
         assert b.gather and b.chunks
-    # on a dense layout every index is one tile
-    al, [(ix, _, _)] = rc.lin
+    al, ix = rc.lin
     assert al.shape == (2, 1) and rc.classes[0][0] == 1
     assert [list(i.ravel()) for i in ix] == [[1, 4], [1, 4]]
     act = [np.unique(rc.A[:, rc.offs[j]:rc.offs[j + 1]].tocoo().row)
@@ -762,6 +761,145 @@ def _real_schur_program(rng):
             row[0] = sym(2)
         prob.add_constraint(row, float(rng.normal()))
     return prob
+
+
+def _two_group_program(rng):
+    """A blocked program: blocks of size 16 and 3 form one group, a second
+    block of size 16 the other, and rows on both 16 blocks or on the 1x1
+    block form the border.  Each 16 block holds 220 unit rows (gathered)
+    and a few dense rows (F1); all rows come in shuffled order, and the 3
+    block's own rows put rows of the first group outside its 16 block."""
+    dims = [16, 3, 16, 1]
+    basis = herm_basis(16)
+    prob = SdpProblem(dims, [rand_herm(d, rng) for d in dims])
+    units = [iter(rng.permutation(len(basis))), iter(range(len(basis)))]
+    rows = ([{0: "u"}] * 220 + [{0: "h"}] * 2 + [{0: "h", 1: "h"}] * 6
+            + [{1: "h"}] * 3, [{2: "u"}] * 220 + [{2: "h"}] * 2,
+            [{0: "h", 2: "h"}] * 4 + [{2: "u", 3: "h"}] * 3)
+    order = rng.permutation(np.repeat([0, 1, 2], [len(r) for r in rows]))
+    taken = [iter([r[i] for i in rng.permutation(len(r))]) for r in rows]
+    for which in order:
+        row = {j: (rng.choice([-1.7, 0.6, 2.3]) * basis[next(units[j // 2])]
+                   if kind == "u" else rand_herm(dims[j], rng))
+               for j, kind in next(taken[which]).items()}
+        prob.add_constraint(row, float(rng.normal()))
+    return prob
+
+
+def test_blocked_schur_in_arrow_order():
+    """On a program of two groups, `_schur` assembles H in arrow order,
+    the groups' rows and then the border's: it matches the trace formula
+    permuted to that order at 1e-12 relative, both triangles as assembled,
+    leaves the tiles between the groups exactly zero, and a second
+    assembly into the kept buffer, with new scalings, equals a fresh one
+    bit for bit."""
+    rng = np.random.default_rng(41)
+    rc = _two_group_program(rng).compile()
+    rc.scale()
+    arrow = rc.arrow
+    assert arrow is not None and [len(g) for g in arrow.groups] == [222, 231]
+    assert len(arrow.border) == 7 and rc.m == 460
+    assert not np.array_equal(arrow.order, np.arange(rc.m))
+    # each 16 block gathers and takes F1, in tiles cut at the border; the
+    # active rows of block 2 fill its group, a run, those of block 0 do not
+    blocks = rc.schur
+    assert blocks[0].gather and blocks[0].chunks and not blocks[1].gather
+    assert blocks[2].gather and blocks[2].chunks
+    for j, run in ((0, False), (2, True)):
+        (ix, _, _), *rest = blocks[j].chunks[0][1]
+        assert isinstance(ix[0], slice) is run and len(rest) == 3
+    buf = np.zeros((rc.m, rc.m))
+    first = _class_scals(rc, lambda d: rand_pd(d, rng))
+    big = sdp_mod._schur(rc, first, buf)
+    assert big is buf
+    order = np.ix_(arrow.order, arrow.order)
+    want = _dense_schur(rc, first)[order]
+    assert np.max(np.abs(big - want)) <= 1e-12 * np.max(np.abs(want))
+    g0, g1 = arrow.spans
+    assert not big[g0, g1].any() and not big[g1, g0].any()
+    again = _class_scals(rc, lambda d: rand_pd(d, rng))
+    sdp_mod._schur(rc, again, buf)
+    fresh = sdp_mod._schur(rc, again, np.zeros((rc.m, rc.m)))
+    assert np.array_equal(buf, fresh)
+    assert not buf[g0, g1].any() and not buf[g1, g0].any()
+    want = _dense_schur(rc, again)[order]
+    assert np.max(np.abs(buf - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _congruence_program(rng, real: bool):
+    """Blocks of size 4 and 8, each active on about 210 of 300 rows; a row
+    is a combination of 2-4 (size 4) or 5-9 (size 8) Hermitian basis
+    elements, real ones only on a real program, and every tenth row on a
+    block is a unit row."""
+    dims = [4, 8]
+    prob = SdpProblem(dims, [rand_herm(d, rng).real if real
+                             else rand_herm(d, rng) for d in dims])
+    for k in range(300):
+        row = {}
+        for j, (d, lo, hi) in enumerate(((4, 2, 5), (8, 5, 10))):
+            if rng.random() < 0.3 and (j == 0 or row):
+                continue
+            basis = herm_basis(d)
+            if real:
+                basis = basis[np.r_[0:d, d:d * d:2]]
+            pick = rng.choice(len(basis), 1 if k % 10 == 0 else
+                              rng.integers(lo, hi), replace=False)
+            row[j] = np.tensordot(rng.normal(size=len(pick)), basis[pick], 1)
+        prob.add_constraint(row, float(rng.normal()))
+    return prob
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_congruence_matches_dense_trace_formula(real):
+    """Blocks of size 4 and 8 whose rows hold several coordinates take the
+    congruence C K C^T with every active row, and match the trace formula
+    at 1e-12 relative, complex and real (on the compact K)."""
+    rng = np.random.default_rng(43)
+    rc = _congruence_program(rng, real).compile()
+    if real:
+        assert len(sdp_mod._real_rows(rc)) == rc.m
+        rc = sdp_mod._Conic(rc.dims, rc.offs, rc.c_vec.real, rc.A.real, rc.b)
+    rc.scale()
+
+    def pd(d):
+        if not real:
+            return rand_pd(d, rng)
+        g = rng.normal(size=(d, d))
+        return g @ g.T + 0.3 * np.eye(d)
+
+    scals = _class_scals(rc, pd)
+    assert [sc.W.dtype == np.float64 for sc in scals] == [real, real]
+    widths = [10, 36] if real else [16, 64]
+    for blk, d, width in zip(rc.schur, (4, 8), widths):
+        assert blk.coords is not None and blk.coords.shape[1] == width
+        assert not blk.chunks and blk.acol is None
+        q = np.count_nonzero(blk.coords, axis=1)
+        assert np.sum(q == 1) > 10 and np.sum(q >= 2) > 150
+    got = sdp_mod._schur(rc, scals, _stale(rc.m))
+    want = _dense_schur(rc, scals)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(got, got.T)
+
+
+def test_schur_routes_of_the_symmetric_program():
+    """On the n = 3 program the blocks of size 8 and the size-4 block of
+    408 rows take the congruence; the size-20 blocks gather their unit rows
+    and take F1 with the rest, and the size-4 block of 20 rows takes F1."""
+    rc = _tensor_power_program().compile()
+    rc.scale()
+    routes = []
+    for blk in rc.schur:
+        d = rc.classes[blk.at[0]][0]
+        if blk.coords is not None:
+            routes.append((d, len(blk.coords), "congruence"))
+        else:
+            routes.append((d, blk.acol.shape[0],
+                           "gather" if blk.gather else "F1",
+                           sum(ta.shape[0] for ta, *_ in blk.chunks) // d))
+    assert sorted(routes) == [
+        (4, 20, "F1", 20), (4, 408, "congruence"), (8, 432, "congruence"),
+        (20, 400, "gather", 0), (20, 400, "gather", 0),
+        (20, 420, "gather", 20), (20, 420, "gather", 20)]
 
 
 def _tensor_power_program():

@@ -13,7 +13,9 @@ dims, a hash of the compiled (A, b, c), a hash of the interior-point result
 whether the interior-point method ran in real arithmetic and on how many
 rows, the layout its Schur matrix was factored in (``"dense"``, or the row
 counts of the groups and the border of a block-arrow factorization), the
-requested gap, the gap target the returned iterate met, whether
+active rows its Schur assembly took along each route (``routes``: gathered
+from K, in a block's dense congruence C K C^T, or by the F1 product,
+summed over the blocks), the requested gap, the gap target the returned iterate met, whether
 the solve was relaxed and the dual value.  A solve counts as relaxed when it
 met a gap target larger than the one requested (a stalled run that returned
 a fallback iterate).
@@ -23,9 +25,10 @@ nothing in the package or the benchmark changes.
 
 ``--diff`` pairs the solves of two runs by operation and index, lists the
 pairs whose hashes differ, and totals iterations, numerical failures,
-relaxed solves, solves run in real arithmetic and solves factored by
-blocks on both sides (records without the ``real`` or ``layout`` field,
-from before those paths, count as complex and dense).
+relaxed solves, solves run in real arithmetic, solves factored by blocks
+and the rows on each Schur route on both sides (records without the
+``real``, ``layout`` or ``routes`` field, from before those were
+recorded, count as complex, dense and with no rows).
 It names each pair whose relaxed flag flips, and prints the largest value
 change over pairs converged at the requested gap on both sides apart from
 the largest over pairs relaxed on either side: a kept fallback iterate can
@@ -51,10 +54,31 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+
+ROUTES = ("gather", "congruence", "f1")
+
+
+def _routes(rc) -> dict[str, int]:
+    """The active rows of each Schur route, summed over the blocks of a
+    scaled program: a block holding ``coords`` takes the congruence with
+    every row, any other takes F1 with the rows of its chunks and gathers
+    the rest."""
+    rows = dict.fromkeys(ROUTES, 0)
+    for blk in rc.schur:
+        if getattr(blk, "coords", None) is not None:
+            rows["congruence"] += len(blk.coords)
+            continue
+        d = math.isqrt(blk.acol.shape[1])
+        f1 = sum(chunk[0].shape[0] for chunk in blk.chunks) // d
+        rows["f1"] += f1
+        rows["gather"] += blk.acol.shape[0] - f1
+    return rows
 
 
 def _digest(*arrays) -> str:
@@ -124,7 +148,8 @@ class Recorder:
                     real=not np.iscomplexobj(rc.A.data), rows=rc.m,
                     layout="dense" if arrow is None else {
                         "groups": [len(g) for g in arrow.groups],
-                        "border": len(arrow.border)})
+                        "border": len(arrow.border)},
+                    routes=_routes(rc))
             return raw
 
         for mod in modules:
@@ -172,13 +197,15 @@ def _load(path: str) -> dict[tuple[str, int], dict]:
     return {(r["op"], r["index"]): r for r in recs}
 
 
-def _totals(recs) -> tuple[int, int, int, int, int]:
+def _totals(recs) -> tuple[int, int, int, int, int, str]:
     recs = list(recs)
     return (sum(r["iterations"] for r in recs),
             sum(r["status"] == "NumericalFailure" for r in recs),
             sum(r["relaxed"] for r in recs),
             sum(r.get("real", False) for r in recs),
-            sum(r.get("layout", "dense") != "dense" for r in recs))
+            sum(r.get("layout", "dense") != "dense" for r in recs),
+            "/".join(str(sum(r.get("routes", {}).get(k, 0) for r in recs))
+                     for k in ROUTES))
 
 
 def diff(before_path: str, after_path: str) -> int:
@@ -210,8 +237,8 @@ def diff(before_path: str, after_path: str) -> int:
               f"{b['status']} -> {a['status']}"
               + ("" if b["compile"] != a["compile"] else ", same program")
               + ("" if delta is None else f", |dvalue| {delta:.2e}"))
-    (ib, fb, rb, qb, kb), (ia, fa, ra, qa, ka) = _totals(before.values()), \
-        _totals(after.values())
+    (ib, fb, rb, qb, kb, sb), (ia, fa, ra, qa, ka, sa) = \
+        _totals(before.values()), _totals(after.values())
     print(f"iterations: {ib} -> {ia}; numerical failures: {fb} -> {fa}; "
           f"relaxed solves: {rb} -> {ra}")
     for key in both:
@@ -220,6 +247,7 @@ def diff(before_path: str, after_path: str) -> int:
                   f": {key[0]} #{key[1]}")
     print(f"real solves: {qb}/{len(before)} -> {qa}/{len(after)}")
     print(f"blocked solves: {kb}/{len(before)} -> {ka}/{len(after)}")
+    print(f"Schur rows by route (gather/congruence/F1): {sb} -> {sa}")
     for relaxed, over in ((False, "solves converged on both sides"),
                           (True, "relaxed solves")):
         if moved[relaxed]:
