@@ -562,13 +562,12 @@ def _index_rows(q: np.ndarray, d: int, nnz: int,
 
 @dataclass
 class _SchurBlock:
-    """One block's share of the Schur complement (`_schur`), in tiles
+    """One block's share of the Schur complement (`_schur`) in tiles
     (`_tiles`): `gather` holds (K index, row weights, column weights, Schur
-    index) per tile of the unit rows that take the index formulas, or, with
-    the dense coordinates C of a congruence block in `coords`, the tiles of
-    its active rows; `chunks` holds (stacked A_k, column tiles, mirror
-    tiles) per chunk of the F1 rows, and `index_rows` picks the gathered
-    rows out of such a column; W is scals[at[0]].W[at[1]]."""
+    index) per tile of the gathered unit rows, or, with the coordinates C of
+    a congruence block in `coords`, the tiles of its rows; `chunks` holds
+    (stacked A_k, column tiles, mirror tiles) per F1 chunk, `index_rows`
+    picks the gathered rows of a column; W is scals[at[0]].W[at[1]]."""
 
     acol: sp.csr_matrix | None
     gather: list
@@ -707,12 +706,11 @@ def _csr(data, cols, rows, n: int, width: int) -> sp.csr_matrix:
 
 
 def _schur(rc: _Conic, scals: list[_Scal], big: np.ndarray) -> np.ndarray:
-    """H_ik = Re tr(A_i W A_k W) into big, in place: each block of size
-    >= 2 along the routes `_schur_block` laid out (module docstring), tile
-    by tile, then the linear cone's A_l (W A_l W)^T.  A dense layout is
-    zeroed whole and averaged; a blocked one, in arrow order, has only the
-    tiles it writes zeroed, and keeps both triangles for its factorization
-    to read one of them.  Returns big."""
+    """H_ik = Re tr(A_i W A_k W) into big, in place and returned: each block
+    of size >= 2 tile by tile along the routes `_schur_block` laid out, then
+    the linear cone's A_l (W A_l W)^T.  A dense layout is zeroed whole and
+    averaged; a blocked one, in arrow order, is zeroed only where written,
+    and keeps both triangles for its factorization to read one."""
     if rc.arrow is None:
         big.fill(0.0)
     else:
@@ -798,10 +796,9 @@ def _arrow_solver(big: np.ndarray, arrow: _Arrow
                   ) -> Callable[[np.ndarray], np.ndarray] | None:
     """Block-arrow Cholesky: L_g L_g^T = H_gg and Z_g = L_g^-1 H_gb per
     group g, and L_b L_b^T = H_bb - sum_g Z_g^T Z_g on the border b; None
-    when one of them fails.  big is in arrow order (`_Arrow`): each tile is
-    a slice, of which it reads one triangle of each diagonal tile and H_gb
-    from the group's rows, so no entry is averaged and the tiles between
-    groups are never read.  The solver takes and returns row order."""
+    when one of them fails.  big is in arrow order (`_Arrow`), so each tile
+    is a slice: it reads one triangle of H_gg and H_bb, averages nothing and
+    never reads between groups.  The solver takes and returns row order."""
     b = slice(arrow.cut, None)
     hbb, parts = big[b, b].copy(), []
     for g in arrow.spans:
