@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -651,9 +652,10 @@ def brute_force_M(channel: CqqWiretapChannel, n: int, eps: float,
     checked.  Desk scale only: the budget guard applies per candidate.
     """
     cfg = config or SearchConfig()
-    if cfg.m_max < 1 or cfg.stochastic_levels < 1:
+    counts = (cfg.m_max, cfg.stochastic_levels)
+    if not all(isinstance(v, numbers.Integral) and v >= 1 for v in counts):
         raise ValidationError(
-            "search needs m_max >= 1 and stochastic_levels >= 1")
+            "search needs integers m_max >= 1 and stochastic_levels >= 1")
     if not (0.0 <= eps <= 1.0 and 0.0 <= delta <= 1.0):
         raise ValidationError("eps and delta must lie in [0, 1]")
     _check_mode(cfg.privacy_mode)

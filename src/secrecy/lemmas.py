@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -325,7 +326,7 @@ def run_harness(rules: Sequence[str] | None = None, trials: int = 200,
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ValidationError("dims must be three positive integers")
-    if trials < 1:
+    if not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValidationError("trials must be a positive integer")
     grid = tuple(grid)
     if not grid:

@@ -38,16 +38,17 @@ alone; `solve` scatters y back with zeros on the imaginary rows, returns
 complex-typed blocks and verifies them against every original row.
 
 The Schur complement H_ik = Re tr(A_i W A_k W) is assembled per block along
-one of three routes, chosen once per solve by a cost rule on the block size
-d and the block's active rows, unit rows and nonzeros (`_index_rows`; no
-setting).  A block's share is the congruence C K C^T of the real
-coordinates C of its rows over `herm_basis` and the real d^2 x d^2 matrix K
-of X -> W X W (on a real block, its d(d+1)/2-square quarter), built from
+one of two routes, chosen once per solve by one comparison (`_schur_block`;
+no setting): K when building it costs less than the F1 product of every
+active row, F1 otherwise.  K is the real d^2 x d^2 matrix of X -> W X W (on
+a real block, its d(d+1)/2-square quarter) over `herm_basis`, built from
 the entries of W alone (the index formulas of Fujisawa, Kojima & Nakata,
-Math. Program. 79 (1997)).  A block with few coordinates and many rows
-takes it whole, as two GEMMs.  Otherwise unit rows (one coordinate) gather
-their entries between each other off K, and every other row takes the F1
-product W A_k W against every active row, written as a column and a row.
+Math. Program. 79 (1997)); a K block takes its whole share C K C^T, C the
+real coordinates of its rows.  Unit rows (one coordinate) gather their
+entries between each other off K; the other rows form a dense C_o and take
+one GEMM T = C_o K, which gives their own share T C_o^T and their cross
+terms with the unit rows, written as they are and mirrored.  An F1 block
+takes the product W A_k W of every active row against every active row.
 Blocks write through slices where their rows run, into one Schur matrix
 per solve; a dense layout keeps both triangles and averages them in place.
 Everything is dense and deterministic: fixed starting point, fixed
@@ -104,7 +105,8 @@ equality X = T as real equality rows over the same basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -131,6 +133,12 @@ class SdpTolerances:
     gap: float = 1e-8          # relative duality gap
     feas: float = 1e-8         # relative primal/dual residuals
     max_iter: int = 200
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) and v > 0 for v in (self.gap, self.feas)):
+            raise SdpError("gap and feas must be finite and positive")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise SdpError("max_iter must be an integer >= 1")
 
 
 #: Quality required of an infeasibility certificate, in the loop and once
@@ -461,12 +469,9 @@ def _alpha_psd(scal: _Scal, dt: np.ndarray) -> float:
 
 
 _SCHUR_CHUNK = 1_500_000  # complex entries per assembly chunk
-#: Costs of the assembly rule (`_index_rows`), in complex multiply-adds of
-#: the F1 product: one entry of K, building K at all, one gathered entry
-_K_ENTRY, _K_FIXED, _GATHER = 12.0, 1e5, 2.5
-#: One real multiply-add of the congruence's GEMMs, writes included: 0.05-
-#: 0.07 at 64 and 400 coordinates, 0.10 at 16 (n = 3 blocks, one thread)
-_GEMM = 0.1
+#: Costs of the assembly rule (`_schur_block`), in complex multiply-adds of
+#: the F1 product: one entry of K, and building K at all
+_K_ENTRY, _K_FIXED = 12.0, 1e5
 #: Cost of the factorization rule (`_arrow_layout`), in flops of the
 #: Cholesky: the calls of one tile of a block-arrow factorization (its
 #: gathers, factor, triangular solves and their dispatch), about 50 us at a
@@ -542,57 +547,43 @@ def _wxw(w: np.ndarray) -> np.ndarray:
     return k
 
 
-def _index_rows(q: np.ndarray, d: int, nnz: int,
-                width: int) -> np.ndarray | None:
-    """The assembly rule of one block: which active rows take the index
-    formulas, from q, each row's count of Hermitian-basis coordinates, nnz,
-    the block's nonzeros, and width, the coordinates of K.  A dense row
-    costs its F1 product W A_k W and one dot with every active row; a unit
-    row (q = 1) costs its gathered row of K.  The block gathers its unit
-    rows when the F1 work they save pays for building K.  None when the
-    congruence C K C^T of every row, two GEMMs, costs less still."""
-    unit = q == 1
-    n, nu = len(q), unit.sum()
-    row, k = d ** 3 + nnz, _K_FIXED + _K_ENTRY * d ** 4
-    if nu * row <= k + _GATHER * n * nu:
-        unit[:] = False
-    cost = k + _GATHER * n * nu + (n - nu) * row if unit.any() else n * row
-    return None if k + _GEMM * n * width * (n + width) < cost else unit
-
-
 @dataclass
 class _SchurBlock:
     """One block's share of the Schur complement (`_schur`) in tiles
-    (`_tiles`): `gather` holds (K index, row weights, column weights, Schur
-    index) per tile of the gathered unit rows, or, with the coordinates C of
-    a congruence block in `coords`, the tiles of its rows; `chunks` holds
-    (stacked A_k, column tiles, mirror tiles) per F1 chunk, `index_rows`
-    picks the gathered rows of a column; W is scals[at[0]].W[at[1]]."""
+    (`_tiles`), along its route.  An F1 block holds `acol` and, per chunk
+    of its active rows, (stacked A_k, column tiles).  A K block holds per
+    tile of its unit rows (K index, row weights, column weights, Schur
+    index) in `gather`, the coordinate and weight of each unit row in
+    `unit`, the dense coordinates C_o of its other rows in `coords`, and
+    the tiles of their own share and of their cross terms with the unit
+    rows, written as is and mirrored, in `own`, `cross` and `mirror`.  W
+    is scals[at[0]].W[at[1]]."""
 
-    acol: sp.csr_matrix | None
-    gather: list
-    index_rows: object
-    chunks: list
     at: tuple
+    acol: sp.csr_matrix | None = None
+    chunks: list = field(default_factory=list)
+    gather: list = field(default_factory=list)
+    unit: tuple = ()
     coords: np.ndarray | None = None
+    own: list = field(default_factory=list)
+    cross: list = field(default_factory=list)
+    mirror: list = field(default_factory=list)
 
 
 def _schur_block(row, col, data, d: int, at: tuple, cut: int) -> _SchurBlock:
-    """Split the active rows of one block's entries (rows conj(vec A_i), at
-    their Schur rows) by `_index_rows`, and lay out their routes in tiles
-    cut at `cut` (`_tiles`); `at` locates its W."""
+    """The route of one block's entries (rows conj(vec A_i), at their Schur
+    rows), laid out in tiles cut at `cut` (`_tiles`); `at` locates its W.
+    The block takes K when building it costs less than the F1 product of
+    every active row, and F1 otherwise."""
     act, rows = np.unique(row, return_inverse=True)
     n = len(act)
     # entries by row, then by column: the CSR layout of acol and atall
     o = np.lexsort((col, rows))
     rows, col, data = rows[o], col[o], data[o]
-    index = np.zeros(n, dtype=bool)
-    gather = []
-    # real coordinates of the Hermitian part of each A_i over herm_basis
-    # (the diagonal, then Re and Im of each entry above it; a real block
-    # keeps the diagonal and Re, the compact K of `_wxw`), unless building
-    # K costs more than the F1 product of every row
     if n * (d ** 3 + len(data)) > _K_FIXED + _K_ENTRY * d ** 4:
+        # real coordinates of the Hermitian part of each A_i over herm_basis
+        # (the diagonal, then Re and Im of each entry above it; a real block
+        # keeps the diagonal and Re, the compact K of `_wxw`)
         r, c = np.divmod(col, d)
         lo, hi = np.minimum(r, c), np.maximum(r, c)
         pair = 2 if np.iscomplexobj(data) else 1
@@ -608,32 +599,27 @@ def _schur_block(row, col, data, d: int, at: tuple, cut: int) -> _SchurBlock:
               np.concatenate([pos, pos[im] + 1]))),
             shape=(n, d + pair * (d * (d - 1) // 2)))
         coords.eliminate_zeros()
-        index = _index_rows(np.diff(coords.indptr), d, len(data),
-                            coords.shape[1])
-        if index is None:
-            return _SchurBlock(None, _tiles(act, act, cut), None, [], at,
-                               coords.toarray())
-    acol = _csr(data, col, rows, n, d * d)
-    idx, dense = np.flatnonzero(index), np.flatnonzero(~index)
-    if len(idx):
-        p = coords.indices[coords.indptr[idx]]
-        x = coords.data[coords.indptr[idx]]
+        unit = np.diff(coords.indptr) == 1
+        u, other = act[unit], act[~unit]
+        p = coords.indices[coords.indptr[:-1][unit]]
+        x = coords.data[coords.indptr[:-1][unit]]
         gather = [(_ix(p[lr], p[lc]), x[lr, None], x[lc], ix)
-                  for ix, lr, lc in _tiles(act[idx], act[idx], cut)]
-    # the dense rows' stacked A_k, (n_dense * d, d), cut into chunks
-    pick = np.full(n, -1)
-    pick[dense] = np.arange(len(dense))
-    keep = pick[rows] >= 0
-    atall = _csr(data[keep].conj(), col[keep] % d,
-                 pick[rows[keep]] * d + col[keep] // d, len(dense) * d, d)
+                  for ix, lr, lc in _tiles(u, u, cut)]
+        return _SchurBlock(at, gather=gather, unit=(p, x),
+                           coords=coords[~unit].toarray(),
+                           own=_tiles(other, other, cut),
+                           cross=_tiles(other, u, cut),
+                           mirror=_tiles(u, other, cut))
+    acol = _csr(data, col, rows, n, d * d)
+    # the stacked A_k of every active row, (n * d, d), cut into chunks
+    atall = _csr(data.conj(), col % d, rows * d + col // d, n * d, d)
     rows_per = max(1, _SCHUR_CHUNK // (d * d))
     chunks = []
-    for c0 in range(0, len(dense), rows_per):
-        c1 = min(c0 + rows_per, len(dense))
-        cols = act[dense[c0:c1]]
-        chunks.append((atall if c1 - c0 == len(dense) else atall[c0 * d:c1 * d],
-                       _tiles(act, cols, cut), _tiles(cols, act[idx], cut)))
-    return _SchurBlock(acol, gather, _run(idx), chunks, at)
+    for c0 in range(0, n, rows_per):
+        c1 = min(c0 + rows_per, n)
+        chunks.append((atall if c1 - c0 == n else atall[c0 * d:c1 * d],
+                       _tiles(act, act[c0:c1], cut)))
+    return _SchurBlock(at, acol, chunks)
 
 
 @dataclass
@@ -707,10 +693,10 @@ def _csr(data, cols, rows, n: int, width: int) -> sp.csr_matrix:
 
 def _schur(rc: _Conic, scals: list[_Scal], big: np.ndarray) -> np.ndarray:
     """H_ik = Re tr(A_i W A_k W) into big, in place and returned: each block
-    of size >= 2 tile by tile along the routes `_schur_block` laid out, then
-    the linear cone's A_l (W A_l W)^T.  A dense layout is zeroed whole and
-    averaged; a blocked one, in arrow order, is zeroed only where written,
-    and keeps both triangles for its factorization to read one."""
+    of size >= 2 tile by tile along its route, K or F1 (`_schur_block`),
+    then the linear cone's A_l (W A_l W)^T.  A dense layout is zeroed whole
+    and averaged; a blocked one, in arrow order, is zeroed only where
+    written, and keeps both triangles for its factorization to read one."""
     if rc.arrow is None:
         big.fill(0.0)
     else:
@@ -722,17 +708,23 @@ def _schur(rc: _Conic, scals: list[_Scal], big: np.ndarray) -> np.ndarray:
         c, p = blk.at
         w = scals[c].W[p]
         d = w.shape[0]
-        if blk.coords is not None:          # every row: C K C^T
-            share = blk.coords @ _wxw(w) @ blk.coords.T
-            for ix, lr, lc in blk.gather:
-                big[ix] += share[lr, lc]
-        elif blk.gather:
+        if blk.acol is None:                # K: C K C^T
             k = _wxw(w)
             for kix, xl, xr, ix in blk.gather:
                 term = k[kix] * xl
                 term *= xr
                 big[ix] += term
-        for ta, cols, mirror in blk.chunks:
+            t = blk.coords @ k              # the other rows' C_o K
+            share = t @ blk.coords.T
+            for ix, lr, lc in blk.own:
+                big[ix] += share[lr, lc]
+            cross = t.take(blk.unit[0], 1)
+            cross *= blk.unit[1]
+            for ix, lr, lc in blk.cross:
+                big[ix] += cross[lr, lc]
+            for ix, lr, lc in blk.mirror:
+                big[ix] += cross[lc, lr].T
+        for ta, cols in blk.chunks:
             nc = ta.shape[0] // d
             t1 = ta @ w                                    # stacked A_k W
             # laid out (a, c, k): the product is G^T, (d*d, nc), C-ordered
@@ -740,10 +732,6 @@ def _schur(rc: _Conic, scals: list[_Scal], big: np.ndarray) -> np.ndarray:
             contrib = (blk.acol @ t2.reshape(d * d, nc)).real   # (n_act, nc)
             for ix, lr, lc in cols:
                 big[ix] += contrib[lr, lc]
-            if mirror:
-                sub = contrib[blk.index_rows]
-                for ix, lr, lc in mirror:
-                    big[ix] += sub[lc, lr].T
     if rc.lin is not None:     # the linear cone is class 0
         al, ix = rc.lin
         w = scals[0].W.reshape(-1)

@@ -329,6 +329,13 @@ class TestBruteForce:
         with pytest.raises(ValidationError, match="m_max"):
             brute_force_M(nt, 1, 0.0, 0.0, SearchConfig(m_max=0))
 
+    @pytest.mark.parametrize("config", [SearchConfig(m_max=2.5),
+                                        SearchConfig(stochastic_levels=2.5)])
+    def test_non_integer_counts_rejected(self, config):
+        nt = noiseless_trivial_eve_channel(2)
+        with pytest.raises(ValidationError, match="integers"):
+            brute_force_M(nt, 1, 0.0, 0.0, config)
+
     def test_grid_rows_are_distributions(self):
         rows = _grid_rows(2, 4)
         assert len(rows) == 5

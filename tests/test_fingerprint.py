@@ -136,10 +136,10 @@ def test_recorder_reads_real_arithmetic_and_rows():
     """The recorder notes whether the interior-point method ran real, on
     how many rows, in which Schur layout and along which Schur routes: a
     real program with one imaginary row runs on the other two, its complex
-    twin on all three, both dense and by F1; with K free to build, the
-    twin gathers its two unit rows, or takes the congruence with all three
-    when the GEMMs are free too; and a program of two decoupled blocks
-    factors by groups."""
+    twin on all three, both dense and by F1; with K free to build, both
+    take K, gathering their unit rows and taking the congruence with the
+    row of two coordinates; and a program of two decoupled blocks factors
+    by groups."""
     script = """
 import json
 import numpy as np
@@ -154,16 +154,14 @@ def solve(c):
     prob.add_constraint({0: np.diag([1.0, 0.0])}, 0.25)
     prob.add_constraint({0: sdp.herm_basis(2)[3]}, 0.0)
     sdp.solve(prob)
-twin = np.array([[1.0, 1j], [-1j, 2.0]])
-for c in (np.diag([1.0, 2.0]), twin):
+programs = (np.diag([1.0, 2.0]), np.array([[1.0, 1j], [-1j, 2.0]]))
+for c in programs:
     solve(c)
-costs = sdp._K_FIXED, sdp._K_ENTRY, sdp._GEMM
+costs = sdp._K_FIXED, sdp._K_ENTRY
 sdp._K_FIXED = sdp._K_ENTRY = 0.0
-sdp._GEMM = float("inf")
-solve(twin)
-sdp._GEMM = 0.0
-solve(twin)
-sdp._K_FIXED, sdp._K_ENTRY, sdp._GEMM = costs
+for c in programs:
+    solve(c)
+sdp._K_FIXED, sdp._K_ENTRY = costs
 # two blocks with two rows each, and a row on both and a 1x1 block: with
 # no call cost the Schur matrix is factored as two groups and a border
 sdp._ARROW_CALL = 0.0
@@ -186,5 +184,5 @@ print(json.dumps([(r["real"], r["rows"], r["m"], r["layout"],
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         [True, 2, 3, "dense", [0, 0, 2]], [False, 3, 3, "dense", [0, 0, 3]],
-        [False, 3, 3, "dense", [2, 0, 1]], [False, 3, 3, "dense", [0, 3, 0]],
+        [True, 2, 3, "dense", [1, 1, 0]], [False, 3, 3, "dense", [2, 1, 0]],
         [True, 5, 5, {"groups": [2, 2], "border": 1}, [0, 0, 6]]]

@@ -162,6 +162,11 @@ class TestHarness:
         with pytest.raises(ValidationError):
             run_harness(rules=("MinMaxConversion",), trials=1, grid=grid)
 
+    @pytest.mark.parametrize("trials", [0, 2.5, "1"])
+    def test_rejects_bad_trials(self, trials):
+        with pytest.raises(ValidationError, match="trials"):
+            run_harness(rules=("MinMaxConversion",), trials=trials)
+
     def test_csv_byte_reproducible(self):
         pick = ("DataProcessingMin", "MaxMinConversion")
         first = csv_text(run_harness(rules=pick, trials=2, seed=42))

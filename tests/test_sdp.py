@@ -451,6 +451,20 @@ def test_tolerances_respected():
     assert relt <= 1e-9
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"gap": -1.0}, {"gap": 0.0}, {"gap": math.nan}, {"feas": math.inf},
+    {"feas": -1e-8}, {"max_iter": 2.5}, {"max_iter": 0}, {"max_iter": "9"}])
+def test_tolerances_reject_bad_values(kwargs):
+    """gap and feas are finite and positive, max_iter an integer >= 1; the
+    values the suite solves with stay valid."""
+    with pytest.raises(SdpError):
+        SdpTolerances(**kwargs)
+    for gap in (1e-16, 1e-4, 1e-9, 1e-7):
+        SdpTolerances(gap=gap, feas=gap)
+    SdpTolerances(max_iter=1)
+    SdpTolerances(max_iter=np.int64(3))
+
+
 def test_unreachable_gap_returns_the_fallback_iterate():
     """A gap below rounding stalls; the run returns the first iterate that
     met the tightest fallback target, bit for bit what a solve at that
@@ -614,10 +628,10 @@ def _schur_program(rng):
 
 def test_schur_matches_dense_trace_formula(monkeypatch):
     """Schur complement tr(A_i W A_k W) against dense products of the
-    compiled rows, for both assembly paths: dense rows (F1) in one chunk
-    and in chunks of a few rows, and gathered unit rows, through slices and
-    through index arrays.  Only unit rows are index rows; rows with two
-    coordinates take the F1 product."""
+    compiled rows, for both routes: F1 blocks in one chunk and in chunks of
+    a few rows, and K blocks whose unit rows gather, through slices and
+    through index arrays, and whose other rows take the GEMM with K.  Only
+    unit rows gather; rows with two coordinates join C_o."""
     rng = np.random.default_rng(17)
     prob = _schur_program(rng)
     rc = prob.compile()
@@ -626,13 +640,14 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     scals = _class_scals(rc, lambda d: rand_pd(d, rng))
     want = _dense_schur(rc, scals)
     # the Schur views are those of the blocks of size >= 2 (blocks 0, 1, 3
-    # and 4): the first two are all dense rows, the last two take both
-    # paths; the size-1 block 2 is the linear cone, active on rows 1 and 4
+    # and 4): the first two take F1, the last two K with unit and other
+    # rows; the size-1 block 2 is the linear cone, active on rows 1 and 4
     blocks = rc.schur
     assert [b.at for b in blocks] == [rc.where[j] for j in (0, 1, 3, 4)]
-    assert not any(b.gather for b in blocks[:2])
+    for b in blocks[:2]:
+        assert b.acol is not None and b.chunks and not b.gather
     for b in blocks[2:]:
-        assert b.gather and b.chunks
+        assert b.acol is None and not b.chunks and b.gather and b.cross
     al, ix = rc.lin
     assert al.shape == (2, 1) and rc.classes[0][0] == 1
     assert [list(i.ravel()) for i in ix] == [[1, 4], [1, 4]]
@@ -642,8 +657,8 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert not np.array_equal(act[3], np.arange(act[3][0], act[3][-1] + 1))
     assert np.array_equal(act[4], np.arange(7, rc.m))
     # block 3 has its two-diagonal row, block 4 that and its pair row
-    _assert_unit_index_rows(rc, blocks[2], 3, act[3], 1)
-    _assert_unit_index_rows(rc, blocks[3], 4, act[4], 2)
+    _assert_unit_rows(rc, blocks[2], 3, act[3], 1)
+    _assert_unit_rows(rc, blocks[3], 4, act[4], 2)
     # block 3 gathers K through slices and writes through index arrays,
     # block 4 the other way round
     assert len(blocks[2].gather) == len(blocks[3].gather) == 1
@@ -652,20 +667,19 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert not isinstance(blocks[3].gather[0][0][0], slice)
     assert isinstance(blocks[3].gather[0][3][0], slice)
     one_chunk = sdp_mod._schur(rc, scals, _stale(rc.m))
-    # 36 entries: blocks of size 3, 2 and 16 take 4, 9 and 1 rows a chunk,
-    # so block 0 has two chunks and block 3 one per F1 row: its three dense
-    # rows and its two-diagonal row
+    # 36 entries: blocks of size 3 and 2 take 4 and 9 rows a chunk, so
+    # block 0 (7 rows) has two chunks and block 1 (4 rows) one
     monkeypatch.setattr(sdp_mod, "_SCHUR_CHUNK", 36)
     rc = prob.compile()
     rc.scale()
-    assert len(rc.schur[0].chunks) == 2 and len(rc.schur[2].chunks) == 4
+    assert [len(b.chunks) for b in rc.schur] == [2, 1, 0, 0]
     chunked = sdp_mod._schur(rc, scals, _stale(rc.m))
     for got in (one_chunk, chunked):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(got, got.T)
-    # a real program runs on its real rows, and its 16 x 16 block takes the
-    # index formulas on the compact K: the diagonal and real-part
-    # coordinates, d(d+1)/2 = 136 of them
+    # a real program runs on its real rows, and its 16 x 16 block takes K
+    # in its compact form: the diagonal and real-part coordinates, d(d+1)/2
+    # = 136 of them
     orig = _real_schur_program(rng).compile()
     keep = sdp_mod._real_rows(orig)
     assert len(keep) == 252
@@ -681,19 +695,20 @@ def test_schur_matches_dense_trace_formula(monkeypatch):
     assert all(sc.W.dtype == np.float64 for sc in scals)
     assert sdp_mod._wxw(scals[1].W[0]).shape == (136, 136)
     blk = rc.schur[1]
-    assert blk.gather and blk.chunks
+    assert blk.acol is None and blk.gather and blk.cross
+    assert blk.coords.shape[1] == 136
     act = np.unique(rc.A[:, rc.offs[1]:rc.offs[2]].tocoo().row)
-    _assert_unit_index_rows(rc, blk, 1, act, 2)
+    _assert_unit_rows(rc, blk, 1, act, 2)
     got = sdp_mod._schur(rc, scals, _stale(rc.m))
     want = _dense_schur(rc, scals)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(got, got.T)
 
 
-def _assert_unit_index_rows(rc, blk, j, act, n_two):
-    """Every index row of block j (active rows act) is a unit row, with one
-    real coordinate over herm_basis, and none of its n_two rows with two
-    coordinates is an index row."""
+def _assert_unit_rows(rc, blk, j, act, n_two):
+    """The K block j (active rows act) gathers its unit rows, those with one
+    real coordinate over herm_basis, and holds every other row, its n_two
+    rows with two coordinates among them, in C_o, in row order."""
     d = rc.dims[j]
     a = rc.A[act, rc.offs[j]:rc.offs[j + 1]].toarray().reshape(-1, d, d)
     i, k = np.triu_indices(d, 1)
@@ -701,10 +716,10 @@ def _assert_unit_index_rows(rc, blk, j, act, n_two):
     q = (np.count_nonzero(np.diagonal(a, axis1=1, axis2=2), axis=1)
          + np.count_nonzero(up.real, axis=1)
          + np.count_nonzero(up.imag, axis=1))
-    index = np.zeros(len(act), dtype=bool)
-    index[blk.index_rows] = True
-    assert index.any() and np.all(q[index] == 1)
-    assert np.sum(q == 2) == n_two and not index[q == 2].any()
+    p, x = blk.unit
+    assert len(p) == len(x) == np.sum(q == 1) > 0
+    assert np.array_equal(np.count_nonzero(blk.coords, axis=1), q[q != 1])
+    assert np.sum(q == 2) == n_two
 
 
 def _stale(m):
@@ -766,8 +781,8 @@ def _real_schur_program(rng):
 def _two_group_program(rng):
     """A blocked program: blocks of size 16 and 3 form one group, a second
     block of size 16 the other, and rows on both 16 blocks or on the 1x1
-    block form the border.  Each 16 block holds 220 unit rows (gathered)
-    and a few dense rows (F1); all rows come in shuffled order, and the 3
+    block form the border.  Each 16 block takes K with 220 unit rows and a
+    few dense rows; all rows come in shuffled order, and the 3
     block's own rows put rows of the first group outside its 16 block."""
     dims = [16, 3, 16, 1]
     basis = herm_basis(16)
@@ -800,14 +815,19 @@ def test_blocked_schur_in_arrow_order():
     assert arrow is not None and [len(g) for g in arrow.groups] == [222, 231]
     assert len(arrow.border) == 7 and rc.m == 460
     assert not np.array_equal(arrow.order, np.arange(rc.m))
-    # each 16 block gathers and takes F1, in tiles cut at the border; the
-    # active rows of block 2 fill its group, a run, those of block 0 do not
+    # each 16 block takes K in tiles cut at the border (gathered, own,
+    # cross and mirror tiles): block 2 holds unit and other rows on both
+    # sides of it, block 0 other rows on both and unit rows in its group
+    # only; the size-3 block takes F1
     blocks = rc.schur
-    assert blocks[0].gather and blocks[0].chunks and not blocks[1].gather
-    assert blocks[2].gather and blocks[2].chunks
-    for j, run in ((0, False), (2, True)):
-        (ix, _, _), *rest = blocks[j].chunks[0][1]
-        assert isinstance(ix[0], slice) is run and len(rest) == 3
+    assert blocks[1].acol is not None and blocks[1].chunks
+    for j, unit, other, tiles in ((0, 220, 12, [1, 4, 2, 2]),
+                                  (2, 223, 6, [4, 4, 4, 4])):
+        blk = blocks[j]
+        assert blk.acol is None and not blk.chunks
+        assert (len(blk.unit[0]), len(blk.coords)) == (unit, other)
+        assert [len(blk.gather), len(blk.own), len(blk.cross),
+                len(blk.mirror)] == tiles
     buf = np.zeros((rc.m, rc.m))
     first = _class_scals(rc, lambda d: rand_pd(d, rng))
     big = sdp_mod._schur(rc, first, buf)
@@ -851,9 +871,10 @@ def _congruence_program(rng, real: bool):
 
 @pytest.mark.parametrize("real", [False, True])
 def test_congruence_matches_dense_trace_formula(real):
-    """Blocks of size 4 and 8 whose rows hold several coordinates take the
-    congruence C K C^T with every active row, and match the trace formula
-    at 1e-12 relative, complex and real (on the compact K)."""
+    """Blocks of size 4 and 8 whose rows hold several coordinates take K:
+    C_o K C_o^T for those rows, gathered entries for the unit rows and the
+    cross terms between the two, and match the trace formula at 1e-12
+    relative, complex and real (on the compact K)."""
     rng = np.random.default_rng(43)
     rc = _congruence_program(rng, real).compile()
     if real:
@@ -871,10 +892,11 @@ def test_congruence_matches_dense_trace_formula(real):
     assert [sc.W.dtype == np.float64 for sc in scals] == [real, real]
     widths = [10, 36] if real else [16, 64]
     for blk, d, width in zip(rc.schur, (4, 8), widths):
-        assert blk.coords is not None and blk.coords.shape[1] == width
+        assert blk.coords.shape[1] == width
         assert not blk.chunks and blk.acol is None
-        q = np.count_nonzero(blk.coords, axis=1)
-        assert np.sum(q == 1) > 10 and np.sum(q >= 2) > 150
+        assert blk.gather and blk.cross and blk.mirror
+        assert len(blk.unit[0]) > 10 and len(blk.coords) > 150
+        assert np.all(np.count_nonzero(blk.coords, axis=1) >= 2)
     got = sdp_mod._schur(rc, scals, _stale(rc.m))
     want = _dense_schur(rc, scals)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -882,24 +904,23 @@ def test_congruence_matches_dense_trace_formula(real):
 
 
 def test_schur_routes_of_the_symmetric_program():
-    """On the n = 3 program the blocks of size 8 and the size-4 block of
-    408 rows take the congruence; the size-20 blocks gather their unit rows
-    and take F1 with the rest, and the size-4 block of 20 rows takes F1."""
+    """On the n = 3 program the blocks of size 20 and 8 and the size-4
+    block of 408 rows take K, with their unit and other rows; the size-4
+    block of 20 rows takes F1."""
     rc = _tensor_power_program().compile()
     rc.scale()
     routes = []
     for blk in rc.schur:
         d = rc.classes[blk.at[0]][0]
-        if blk.coords is not None:
-            routes.append((d, len(blk.coords), "congruence"))
+        if blk.acol is None:
+            routes.append((d, "K", len(blk.unit[0]), len(blk.coords)))
         else:
-            routes.append((d, blk.acol.shape[0],
-                           "gather" if blk.gather else "F1",
-                           sum(ta.shape[0] for ta, *_ in blk.chunks) // d))
+            routes.append((d, "F1", blk.acol.shape[0],
+                           sum(ta.shape[0] for ta, _ in blk.chunks) // d))
     assert sorted(routes) == [
-        (4, 20, "F1", 20), (4, 408, "congruence"), (8, 432, "congruence"),
-        (20, 400, "gather", 0), (20, 400, "gather", 0),
-        (20, 420, "gather", 20), (20, 420, "gather", 20)]
+        (4, "F1", 20, 20), (4, "K", 8, 400), (8, "K", 32, 400),
+        (20, "K", 400, 0), (20, "K", 400, 0),
+        (20, "K", 400, 20), (20, "K", 400, 20)]
 
 
 def _tensor_power_program():

@@ -13,9 +13,10 @@ dims, a hash of the compiled (A, b, c), a hash of the interior-point result
 whether the interior-point method ran in real arithmetic and on how many
 rows, the layout its Schur matrix was factored in (``"dense"``, or the row
 counts of the groups and the border of a block-arrow factorization), the
-active rows its Schur assembly took along each route (``routes``: gathered
-from K, in a block's dense congruence C K C^T, or by the F1 product,
-summed over the blocks), the requested gap, the gap target the returned iterate met, whether
+active rows its Schur assembly took along each route (``routes``, summed over
+the blocks: the unit rows of K blocks, gathered off K, their other rows,
+taken by the congruence C_o K C_o^T, and the rows of F1 blocks), the
+requested gap, the gap target the returned iterate met, whether
 the solve was relaxed and the dual value.  A solve counts as relaxed when it
 met a gap target larger than the one requested (a stalled run that returned
 a fallback iterate).
@@ -54,7 +55,6 @@ import argparse
 import hashlib
 import importlib
 import json
-import math
 import tempfile
 from pathlib import Path
 
@@ -66,18 +66,16 @@ ROUTES = ("gather", "congruence", "f1")
 
 def _routes(rc) -> dict[str, int]:
     """The active rows of each Schur route, summed over the blocks of a
-    scaled program: a block holding ``coords`` takes the congruence with
-    every row, any other takes F1 with the rows of its chunks and gathers
-    the rest."""
+    scaled program: a K block (no ``acol``) gathers its unit rows and takes
+    the congruence with its other rows, ``coords``; an F1 block takes F1
+    with every active row."""
     rows = dict.fromkeys(ROUTES, 0)
     for blk in rc.schur:
-        if getattr(blk, "coords", None) is not None:
+        if blk.acol is None:
+            rows["gather"] += len(blk.unit[0])
             rows["congruence"] += len(blk.coords)
-            continue
-        d = math.isqrt(blk.acol.shape[1])
-        f1 = sum(chunk[0].shape[0] for chunk in blk.chunks) // d
-        rows["f1"] += f1
-        rows["gather"] += blk.acol.shape[0] - f1
+        else:
+            rows["f1"] += blk.acol.shape[0]
     return rows
 
 
